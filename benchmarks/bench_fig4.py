@@ -104,38 +104,12 @@ def test_fig4_verification_is_cheap_relative_to_proving(
 _PREVIOUS_AFTER_SETUP_PLUS_PROVE_S = 2.2691
 
 
-def _time_toggle_axes():
-    """Time a representative 64-point G1 MSM under every toggle combo."""
-    import random as _random
-
-    from repro.zksnark.bn128.curve import G1, g1_msm, g1_mul, set_fast_opts
-    from repro.zksnark.bn128.fq import CURVE_ORDER
-
-    rng = _random.Random(0xF16)
-    points = [g1_mul(G1, rng.randrange(1, CURVE_ORDER)) for _ in range(64)]
-    scalars = [rng.randrange(CURVE_ORDER) for _ in range(64)]
-    axes = {}
-    prior = set_fast_opts()
-    try:
-        for montgomery in (False, True):
-            for glv in (False, True):
-                set_fast_opts(montgomery=montgomery, glv=glv)
-                seconds = min(
-                    time_call(lambda: g1_msm(points, scalars), repeats=3)
-                )
-                axes[f"montgomery={montgomery},glv={glv}"] = round(seconds, 4)
-    finally:
-        set_fast_opts(*prior)
-    return axes
-
-
 def test_snark_before_after(benchmark, bench_profile, auth_material) -> None:
     """Naive vs optimized Groth16 on the largest circuit (the auth SNARK).
 
     Writes ``BENCH_snark.json`` at the repo root: setup/prove/verify in
-    both modes, batch_verify(n=10) against 10 sequential verifies,
-    per-toggle-combo MSM timings (Montgomery x GLV axes), and the
-    persistent proving service's amortized per-task cost (one warm
+    both modes, batch_verify(n=10) against 10 sequential verifies, and
+    the persistent proving service's amortized per-task cost (one warm
     setup + a prove_many batch).  The optimized hot path must beat the
     naive reference by >= 4x on setup+prove, and the service's
     amortized per-task cost must beat the previous generation's
@@ -231,8 +205,6 @@ def test_snark_before_after(benchmark, bench_profile, auth_material) -> None:
         amortized_task_seconds, 1e-9
     )
 
-    toggle_axes = _time_toggle_axes()
-
     setup_prove_speedup = (naive_setup + naive_prove) / max(
         fast_setup + fast_prove, 1e-9
     )
@@ -277,11 +249,6 @@ def test_snark_before_after(benchmark, bench_profile, auth_material) -> None:
             "sequential_s": round(sequential_seconds, 4),
             "speedup": round(sequential_seconds / max(batch_seconds, 1e-9), 2),
         },
-        # 64-point G1 MSM under each representation toggle combination.
-        # Montgomery is OFF by default: REDC's three half-width multiplies
-        # lose to CPython's single native ``%`` on big ints (kept as a
-        # differential-tested representation toggle).  GLV is the win.
-        "toggle_axes_msm64_s": toggle_axes,
         # Persistent proving service: warm the CRS once, then amortize it
         # over a prove_many batch.  ``speedup_vs_previous_after`` compares
         # the amortized per-task cost against the previous generation's

@@ -331,7 +331,7 @@ def measure_parallel_block_execution(
             started = time.perf_counter()
             execution = execute_block(
                 vm, state, txs, block_ctx,
-                lanes=lanes, workers=1, mode="verify", assignment=assignment,
+                lanes=lanes, mode="verify", assignment=assignment,
             )
             walls.append(time.perf_counter() - started)
             criticals.append(execution.stats.critical_path_seconds)

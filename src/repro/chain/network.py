@@ -350,7 +350,6 @@ class Testnet:
         engine: Optional[ConsensusEngine] = None,
         fault_plan: Optional[FaultPlan] = None,
         execution_lanes: int = 1,
-        execution_workers: int = 1,
         mempool_capacity: Optional[int] = None,
         faucet_seed: bytes = b"testnet-faucet",
         extra_allocations: Optional[Dict[bytes, int]] = None,
@@ -391,7 +390,6 @@ class Testnet:
                     keypair=key,
                     is_miner=True,
                     execution_lanes=execution_lanes,
-                    execution_workers=execution_workers,
                     mempool_capacity=mempool_capacity,
                 )
             )
@@ -404,7 +402,6 @@ class Testnet:
                     genesis=genesis,
                     engine=self.engine,
                     execution_lanes=execution_lanes,
-                    execution_workers=execution_workers,
                     mempool_capacity=mempool_capacity,
                 )
             )

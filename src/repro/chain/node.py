@@ -90,17 +90,15 @@ class Node:
         is_miner: bool = False,
         schedule: GasSchedule = DEFAULT_SCHEDULE,
         execution_lanes: int = 1,
-        execution_workers: int = 1,
         mempool_capacity: Optional[int] = None,
     ) -> None:
         self.name = name
         self.genesis = genesis
         self.keypair = keypair or ecdsa.ECDSAKeyPair.from_seed(name.encode())
         self.is_miner = is_miner
-        #: Optimistic-concurrency knobs: speculative lanes per block and
-        #: forked worker processes driving them (1/1 = serial).
+        #: Optimistic-concurrency knob: speculative lanes per block
+        #: (1 = serial).
         self.execution_lanes = max(1, execution_lanes)
-        self.execution_workers = max(1, execution_workers)
         self.engine = engine or PoAEngine([self.keypair.address()])
         self.vm = VM(schedule=schedule, chain_id=genesis.chain_id)
         self.mempool = Mempool(capacity=mempool_capacity)
@@ -238,8 +236,7 @@ class Node:
             )
             execution = execute_block(
                 self.vm, state, selected, block_ctx,
-                lanes=self.execution_lanes, workers=self.execution_workers,
-                mode="build",
+                lanes=self.execution_lanes, mode="build",
             )
             included = execution.included
             gas_used = execution.gas_used
@@ -304,8 +301,7 @@ class Node:
         try:
             execution = execute_block(
                 self.vm, state, list(block.transactions), block_ctx,
-                lanes=self.execution_lanes, workers=self.execution_workers,
-                mode="verify",
+                lanes=self.execution_lanes, mode="verify",
             )
         except InvalidTransactionError as exc:
             raise InvalidBlockError(f"invalid transaction in block: {exc}") from exc

@@ -9,8 +9,9 @@ A Block-STM-style pipeline in three steps:
 2. **Speculate.**  Each lane executes its transactions in serial-index
    order against an immutable base state through a
    :class:`~repro.chain.state.LaneState` overlay, capturing per-tx
-   read/write sets and effects.  Lanes run in-process or, with
-   ``workers > 1``, in forked worker processes.
+   read/write sets and effects.  Lanes run one after another in
+   process; each lane's wall time is recorded for the critical-path
+   model.
 3. **Commit.**  A single pass in serial index order applies each
    transaction's captured effects verbatim when its footprint is
    disjoint from every *other* lane's committed impact, and
@@ -53,7 +54,6 @@ class BlockExecutionStats:
     """Concurrency accounting for one block execution."""
 
     lanes: int
-    workers: int
     transactions: int = 0
     speculative_commits: int = 0
     reexecutions: int = 0
@@ -83,7 +83,6 @@ class BlockExecutionStats:
     def as_dict(self) -> Dict[str, float]:
         return {
             "lanes": self.lanes,
-            "workers": self.workers,
             "transactions": self.transactions,
             "speculative_commits": self.speculative_commits,
             "reexecutions": self.reexecutions,
@@ -152,6 +151,7 @@ def _run_lane(
     vm: VM,
     base: WorldState,
     block_ctx: BlockContext,
+    lane: int,
     items: Sequence[Tuple[int, SignedTransaction]],
 ) -> List[_SpecResult]:
     """Speculatively execute one lane's transactions over ``base``."""
@@ -165,53 +165,15 @@ def _run_lane(
             # No state was touched (validation precedes any mutation);
             # the commit pass retries this tx against committed state.
             lane_state.finish_access_window()
-            results.append(_SpecResult(index=index, lane=0, receipt=None, effects=None))
+            results.append(
+                _SpecResult(index=index, lane=lane, receipt=None, effects=None)
+            )
             continue
         effects = lane_state.finish_access_window()
         results.append(
-            _SpecResult(index=index, lane=0, receipt=receipt, effects=effects)
+            _SpecResult(index=index, lane=lane, receipt=receipt, effects=effects)
         )
     return results
-
-
-class _LaneJob:
-    """Picklable per-lane speculation job for the fork pool."""
-
-    def __init__(
-        self,
-        vm: VM,
-        base: WorldState,
-        block_ctx: BlockContext,
-        lane_items: List[List[Tuple[int, SignedTransaction]]],
-    ) -> None:
-        self.vm = vm
-        self.base = base
-        self.block_ctx = block_ctx
-        self.lane_items = lane_items
-
-    def __call__(self, lane: int) -> Tuple[List[_SpecResult], float]:
-        started = time.perf_counter()
-        results = _run_lane(self.vm, self.base, self.block_ctx, self.lane_items[lane])
-        for result in results:
-            result.lane = lane
-        return results, time.perf_counter() - started
-
-
-def _map_lanes(
-    job: _LaneJob, lanes: int, workers: int
-) -> List[Tuple[List[_SpecResult], float]]:
-    """Run every lane, forking worker processes when asked and possible."""
-    if workers > 1 and lanes > 1:
-        import multiprocessing as mp
-
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:  # platform without fork: stay in-process
-            ctx = None
-        if ctx is not None:
-            with ctx.Pool(processes=min(workers, lanes)) as pool:
-                return pool.map(job, range(lanes))
-    return [job(lane) for lane in range(lanes)]
 
 
 def execute_block(
@@ -220,7 +182,6 @@ def execute_block(
     transactions: Sequence[SignedTransaction],
     block_ctx: BlockContext,
     lanes: int = 1,
-    workers: int = 1,
     mode: str = "verify",
     assignment: Optional[Sequence[int]] = None,
 ) -> BlockExecution:
@@ -237,9 +198,7 @@ def execute_block(
         raise ValueError(f"unknown execution mode {mode!r}")
     txs = list(transactions)
     lanes = max(1, lanes)
-    stats = BlockExecutionStats(
-        lanes=lanes, workers=max(1, workers), transactions=len(txs)
-    )
+    stats = BlockExecutionStats(lanes=lanes, transactions=len(txs))
     if lanes == 1 or len(txs) < 2:
         return _execute_serial(vm, state, txs, block_ctx, mode, stats)
 
@@ -253,10 +212,11 @@ def execute_block(
             raise ValueError(f"lane {lane} out of range for {lanes} lanes")
         lane_items[lane].append((index, stx))
 
-    job = _LaneJob(vm, state, block_ctx, lane_items)
     spec: List[Optional[_SpecResult]] = [None] * len(txs)
-    for results, seconds in _map_lanes(job, lanes, stats.workers):
-        stats.lane_seconds.append(seconds)
+    for lane, items in enumerate(lane_items):
+        started = time.perf_counter()
+        results = _run_lane(vm, state, block_ctx, lane, items)
+        stats.lane_seconds.append(time.perf_counter() - started)
         for result in results:
             spec[result.index] = result
 

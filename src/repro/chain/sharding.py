@@ -721,7 +721,6 @@ class ShardedChain:
         initial_faucet_balance: int = 10**30,
         fault_plan: Optional[object] = None,
         execution_lanes: int = 1,
-        execution_workers: int = 1,
         mempool_capacity: Optional[int] = None,
     ) -> None:
         if shards < 1:
@@ -756,7 +755,6 @@ class ShardedChain:
                     initial_faucet_balance=initial_faucet_balance,
                     fault_plan=plans[k],
                     execution_lanes=execution_lanes,
-                    execution_workers=execution_workers,
                     mempool_capacity=mempool_capacity,
                     faucet_seed=faucet_seed,
                     extra_allocations=extra,

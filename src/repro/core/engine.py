@@ -1133,6 +1133,7 @@ class ProtocolEngine:
 
     def _run(self) -> EngineReport:
         start_height = self.testnet.height
+        start_heads = _chain_heads(self.testnet, self.node)
         sim_start = self.testnet.clock.now
         restore = self._restore_checkpoint
         encryption_keys = self._pregenerate_encryption_keys()
@@ -1188,7 +1189,7 @@ class ProtocolEngine:
 
         end_height = self.testnet.height
         block_lines, transactions = _chain_segment(
-            self.node, start_height, end_height
+            start_heads, _chain_heads(self.testnet, self.node)
         )
         return EngineReport(
             outcomes=[runner.outcome for runner in self.runners],
@@ -1229,16 +1230,31 @@ class ProtocolEngine:
             runner.deliver_proof(proof)
 
 
+def _chain_heads(testnet, node) -> List[Tuple[Any, int]]:
+    """(reader node, head height) per chain.
+
+    A ShardedChain's facade height is the maximum over its shards and
+    its node view reads shard 0 only, so every shard is its own chain;
+    a plain testnet is read through ``node``.
+    """
+    shards = getattr(testnet, "shard_testnets", None)
+    if shards is None:
+        return [(node, testnet.height)]
+    return [(shard.any_node, shard.height) for shard in shards]
+
+
 def _chain_segment(
-    node, start_height: int, end_height: int
+    start_heads: Sequence[Tuple[Any, int]], end_heads: Sequence[Tuple[Any, int]]
 ) -> Tuple[List[Tuple[int, str, Tuple[str, ...]]], int]:
-    """(number, hash, tx hashes) per canonical block in (start, end]."""
+    """(number, hash, tx hashes) per canonical block between two
+    :func:`_chain_heads` readings, and the transaction count."""
     lines: List[Tuple[int, str, Tuple[str, ...]]] = []
     transactions = 0
-    for block in node.canonical_blocks(start_height + 1, end_height):
-        tx_hashes = tuple(stx.tx_hash.hex() for stx in block.transactions)
-        transactions += len(tx_hashes)
-        lines.append((block.number, block.block_hash.hex(), tx_hashes))
+    for (_, start_height), (reader, end_height) in zip(start_heads, end_heads):
+        for block in reader.canonical_blocks(start_height + 1, end_height):
+            tx_hashes = tuple(stx.tx_hash.hex() for stx in block.transactions)
+            transactions += len(tx_hashes)
+            lines.append((block.number, block.block_hash.hex(), tx_hashes))
     return lines, transactions
 
 
@@ -1251,7 +1267,6 @@ def engine_system(
     backend_name: str = "mock",
     seed: bytes = b"engine-system",
     execution_lanes: int = 1,
-    execution_workers: int = 1,
     fault_plan=None,
     mempool_capacity: Optional[int] = None,
     shards: Optional[int] = None,
@@ -1284,7 +1299,6 @@ def engine_system(
     chain_kwargs: Dict[str, Any] = dict(
         gas_limit=max(30_000_000, wave * DEFAULT_GAS_LIMIT),
         execution_lanes=execution_lanes,
-        execution_workers=execution_workers,
         fault_plan=fault_plan,
         mempool_capacity=mempool_capacity,
     )
@@ -1480,6 +1494,7 @@ def run_serial(system: ZebraLancerSystem, specs: Sequence[TaskSpec]) -> EngineRe
     import time
 
     start_height = system.testnet.height
+    start_heads = _chain_heads(system.testnet, system.node)
     sim_start = system.testnet.clock.now
     wall_start = time.perf_counter()
     outcomes: List[TaskOutcome] = []
@@ -1512,7 +1527,9 @@ def run_serial(system: ZebraLancerSystem, specs: Sequence[TaskSpec]) -> EngineRe
             outcome.audit_passed = handle.audit_submissions()
         outcomes.append(outcome)
     end_height = system.testnet.height
-    block_lines, transactions = _chain_segment(system.node, start_height, end_height)
+    block_lines, transactions = _chain_segment(
+        start_heads, _chain_heads(system.testnet, system.node)
+    )
     return EngineReport(
         outcomes=outcomes,
         rounds=0,

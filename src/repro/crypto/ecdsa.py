@@ -8,7 +8,6 @@ from signatures exactly the way Ethereum does).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -96,25 +95,7 @@ def point_add(p1: Point, p2: Point) -> Point:
     return _from_jacobian(_jacobian_add(_to_jacobian(p1), _to_jacobian(p2)))
 
 
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off", "")
-
-
-#: GLV toggle for arbitrary-point multiplication (recovery/verification).
-_GLV_ENABLED = _env_flag("REPRO_ECDSA_GLV", True)
-
 _GLV: Optional[Tuple[GLVParams, int]] = None
-
-
-def set_glv(enabled: bool) -> bool:
-    """Flip the secp256k1 GLV fast path; returns the prior state."""
-    global _GLV_ENABLED
-    prior = _GLV_ENABLED
-    _GLV_ENABLED = enabled
-    return prior
 
 
 def _glv_params() -> Tuple[GLVParams, int]:
@@ -185,16 +166,16 @@ def point_mul(scalar: int, point: Point) -> Point:
     recovery) take a fixed-base window table: 64 pre-doubled windows
     turn ~256 doubles + ~128 adds into at most 64 adds.  Arbitrary
     points (signature recovery, verification) use GLV endomorphism
-    decomposition when enabled — two ~128-bit halves in one interleaved
-    ladder — and otherwise a 4-bit window ladder, which stays around as
-    the differential oracle for the GLV path.
+    decomposition — two ~128-bit halves in one interleaved ladder — for
+    scalars above 130 bits, and otherwise a 4-bit window ladder, which
+    also serves as the differential oracle for the GLV path.
     """
     scalar %= N
     if scalar == 0 or point is None:
         return None
     if point == GENERATOR:
         return _generator_mul(scalar)
-    if _GLV_ENABLED and scalar.bit_length() > 130:
+    if scalar.bit_length() > 130:
         return _glv_mul(scalar, point)
     return _windowed_mul(scalar, point)
 

@@ -8,77 +8,24 @@ inversions on the hot path); MSMs use Pippenger bucket windowing and
 repeated multiplications of a fixed base go through precomputed
 windowed tables (:class:`FixedBaseTable`).
 
-Two representation-level fast paths sit behind runtime toggles
-(:func:`set_fast_opts`, env ``REPRO_BN128_MONTGOMERY`` /
-``REPRO_BN128_GLV``): a Montgomery-domain G1 Jacobian core, and GLV
-endomorphism decomposition for G1 scalar multiplication and MSM.  The
-G2 hot path always runs on raw ``(c0, c1)`` int pairs with 3-multiply
-Karatsuba FQ2 products rather than boxed :class:`FQ2` instances.  Every
-fast path is pinned to the naive oracles by the differential sweep with
-each toggle axis exercised independently.
+G1 scalar multiplication and MSM split every scalar wider than the GLV
+component bound into two half-width components via the endomorphism
+φ(x, y) = (βx, y).  The G2 hot path runs on raw ``(c0, c1)`` int pairs
+with 3-multiply Karatsuba FQ2 products rather than boxed :class:`FQ2`
+instances.  Every fast path is pinned to the naive oracles by the
+differential sweep.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro import observability as obs
-from repro.zksnark.bn128.fq import CURVE_ORDER, FIELD_MODULUS, MONT, fq_from_bytes
+from repro.zksnark.bn128.fq import CURVE_ORDER, FIELD_MODULUS, fq_from_bytes
 from repro.zksnark.bn128.fq2 import FQ2
 from repro.zksnark.bn128.glv import GLVParams, cube_root_of_unity
 
 _Q = FIELD_MODULUS
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off", "")
-
-
-class _FastOpts:
-    __slots__ = ("montgomery", "glv")
-
-    def __init__(self, montgomery: bool, glv: bool) -> None:
-        self.montgomery = montgomery
-        self.glv = glv
-
-
-#: Process-wide fast-path toggles (read once from the environment).
-#: Montgomery defaults OFF: measured on CPython 3.11 big ints, an
-#: inlined REDC (three ~half-width multiplies plus shifts) loses to the
-#: single native ``(a*b) % q`` it replaces (~46 ms vs ~36 ms for a
-#: 64-point MSM), so the Montgomery core is kept as a correctness-pinned
-#: representation axis rather than the default path.  GLV defaults ON
-#: (~1.5× MSM, ~1.8× single mul).
-_OPTS = _FastOpts(
-    montgomery=_env_flag("REPRO_BN128_MONTGOMERY", False),
-    glv=_env_flag("REPRO_BN128_GLV", True),
-)
-
-
-def set_fast_opts(
-    montgomery: Optional[bool] = None, glv: Optional[bool] = None
-) -> Tuple[bool, bool]:
-    """Flip the representation-level fast paths; returns the prior state.
-
-    Used by the differential sweep to pin every toggle combination to
-    the same oracle, and available to callers that want the plain
-    ``% q`` arithmetic (e.g. when debugging with a big-int tracer).
-    """
-    prior = (_OPTS.montgomery, _OPTS.glv)
-    if montgomery is not None:
-        _OPTS.montgomery = montgomery
-    if glv is not None:
-        _OPTS.glv = glv
-    return prior
-
-
-def get_fast_opts() -> Tuple[bool, bool]:
-    """The current ``(montgomery, glv)`` toggle state."""
-    return (_OPTS.montgomery, _OPTS.glv)
 
 G1Point = Optional[Tuple[int, int]]
 G2Point = Optional[Tuple[FQ2, FQ2]]
@@ -224,166 +171,6 @@ def _g1_jac_is_zero(pt) -> bool:
     return pt[2] == 0
 
 
-# ----- G1 Montgomery-domain Jacobian core ----------------------------------------
-#
-# Identical formulas with every field multiply routed through REDC.
-# Coordinates are Montgomery residues (a·R mod q); small-constant
-# scaling (2x, 3x, 4x) is linear so it commutes with the domain map.
-# All REDC inputs stay below q·R: the largest product formed is
-# (4q)·q < q·2^256 for the 254-bit modulus.
-
-
-def _g1m_enter(point: G1Point):
-    to_mont = MONT.to_mont
-    return (to_mont(point[0]), to_mont(point[1]), MONT.r1)
-
-
-def _g1m_from_jac(pt) -> G1Point:
-    x, y, z = pt
-    if z == 0:
-        return None
-    mul = MONT.mul
-    zi = MONT.inv(z)
-    zi2 = mul(zi, zi)
-    return (MONT.from_mont(mul(x, zi2)), MONT.from_mont(mul(mul(y, zi2), zi)))
-
-
-_M_MASK = MONT.mask
-_M_BITS = MONT.bits
-_M_NQI = MONT.neg_qinv
-
-
-def _g1m_jac_double(pt):
-    x, y, z = pt
-    if y == 0 or z == 0:
-        return (0, MONT.r1, 0)
-    q, mask, bits, nqi = _Q, _M_MASK, _M_BITS, _M_NQI
-    t = y * y
-    ysq = (t + ((t & mask) * nqi & mask) * q) >> bits
-    t = 4 * x * ysq
-    s = (t + ((t & mask) * nqi & mask) * q) >> bits
-    t = 3 * x * x
-    m = (t + ((t & mask) * nqi & mask) * q) >> bits
-    # Lazy: ysq, s, m stay in [0, 2q); products below remain < q·R.
-    t = m * m
-    nx = (((t + ((t & mask) * nqi & mask) * q) >> bits) - 2 * s) % q
-    t = m * (s - nx + 2 * q)
-    ny = ((t + ((t & mask) * nqi & mask) * q) >> bits)
-    t = ysq * ysq
-    ny = (ny - 8 * ((t + ((t & mask) * nqi & mask) * q) >> bits)) % q
-    t = 2 * y * z
-    nz = (t + ((t & mask) * nqi & mask) * q) >> bits
-    if nz >= q:
-        nz -= q
-    return (nx, ny, nz)
-
-
-def _g1m_jac_add(p1, p2):
-    if p1[2] == 0:
-        return p2
-    if p2[2] == 0:
-        return p1
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
-    q, mask, bits, nqi = _Q, _M_MASK, _M_BITS, _M_NQI
-    one = MONT.r1
-    if z2 == one:
-        u1, s1 = x1, y1
-        t = z1 * z1
-        z1sq = (t + ((t & mask) * nqi & mask) * q) >> bits
-        t = x2 * z1sq
-        u2 = (t + ((t & mask) * nqi & mask) * q) >> bits
-        if u2 >= q:
-            u2 -= q
-        t = y2 * z1sq
-        t = ((t + ((t & mask) * nqi & mask) * q) >> bits) * z1
-        s2 = (t + ((t & mask) * nqi & mask) * q) >> bits
-        if s2 >= q:
-            s2 -= q
-        zz = z1
-    elif z1 == one:
-        u2, s2 = x2, y2
-        t = z2 * z2
-        z2sq = (t + ((t & mask) * nqi & mask) * q) >> bits
-        t = x1 * z2sq
-        u1 = (t + ((t & mask) * nqi & mask) * q) >> bits
-        if u1 >= q:
-            u1 -= q
-        t = y1 * z2sq
-        t = ((t + ((t & mask) * nqi & mask) * q) >> bits) * z2
-        s1 = (t + ((t & mask) * nqi & mask) * q) >> bits
-        if s1 >= q:
-            s1 -= q
-        zz = z2
-    else:
-        t = z1 * z1
-        z1sq = (t + ((t & mask) * nqi & mask) * q) >> bits
-        t = z2 * z2
-        z2sq = (t + ((t & mask) * nqi & mask) * q) >> bits
-        t = x1 * z2sq
-        u1 = (t + ((t & mask) * nqi & mask) * q) >> bits
-        if u1 >= q:
-            u1 -= q
-        t = x2 * z1sq
-        u2 = (t + ((t & mask) * nqi & mask) * q) >> bits
-        if u2 >= q:
-            u2 -= q
-        t = y1 * z2sq
-        t = ((t + ((t & mask) * nqi & mask) * q) >> bits) * z2
-        s1 = (t + ((t & mask) * nqi & mask) * q) >> bits
-        if s1 >= q:
-            s1 -= q
-        t = y2 * z1sq
-        t = ((t + ((t & mask) * nqi & mask) * q) >> bits) * z1
-        s2 = (t + ((t & mask) * nqi & mask) * q) >> bits
-        if s2 >= q:
-            s2 -= q
-        t = z1 * z2
-        zz = (t + ((t & mask) * nqi & mask) * q) >> bits
-    if u1 == u2:
-        if s1 != s2:
-            return (0, one, 0)
-        return _g1m_jac_double(p1)
-    h = (u2 - u1) % q
-    r = (s2 - s1) % q
-    t = h * h
-    h2 = (t + ((t & mask) * nqi & mask) * q) >> bits
-    t = h * h2
-    h3 = (t + ((t & mask) * nqi & mask) * q) >> bits
-    t = u1 * h2
-    u1h2 = (t + ((t & mask) * nqi & mask) * q) >> bits
-    t = r * r
-    nx = (((t + ((t & mask) * nqi & mask) * q) >> bits) - h3 - 2 * u1h2) % q
-    t = r * (u1h2 - nx + 2 * q)
-    ny = (t + ((t & mask) * nqi & mask) * q) >> bits
-    t = s1 * h3
-    ny = (ny - ((t + ((t & mask) * nqi & mask) * q) >> bits)) % q
-    t = h * zz
-    nz = (t + ((t & mask) * nqi & mask) * q) >> bits
-    if nz >= q:
-        nz -= q
-    return (nx, ny, nz)
-
-
-def _g1_core():
-    """The active G1 Jacobian core: (add, double, inf, enter, exit)."""
-    if _OPTS.montgomery:
-        return (
-            _g1m_jac_add,
-            _g1m_jac_double,
-            (0, MONT.r1, 0),
-            _g1m_enter,
-            _g1m_from_jac,
-        )
-    return (
-        _g1_jac_add,
-        _g1_jac_double,
-        (0, 1, 0),
-        lambda p: (p[0], p[1], 1),
-        _g1_from_jac,
-    )
-
-
 # ----- GLV endomorphism (G1) ------------------------------------------------------
 
 _G1_GLV: Optional[Tuple[GLVParams, int]] = None
@@ -446,41 +233,39 @@ def g1_add(p1: G1Point, p2: G1Point) -> G1Point:
 def g1_mul(point: G1Point, scalar: int) -> G1Point:
     """Scalar multiplication on G1.
 
-    Jacobian double-and-add on the active core; with GLV enabled the
-    scalar splits into two ~half-width components that run as an
+    Jacobian double-and-add.  A scalar wider than the GLV component
+    bound splits into two ~half-width components that run as an
     interleaved (Shamir) ladder, halving the doubling count.
     """
     scalar %= CURVE_ORDER
     if point is None or scalar == 0:
         return None
-    add, double, inf, enter, exit_ = _g1_core()
-    if _OPTS.glv:
-        params, beta = _g1_glv()
-        if scalar.bit_length() > params.max_component_bits():
-            k1, k2 = params.decompose(scalar)
-            x, y = point
-            p1 = enter((x, y if k1 > 0 else -y % _Q))
-            p2 = enter((x * beta % _Q, y if k2 > 0 else -y % _Q))
-            k1, k2 = abs(k1), abs(k2)
-            p12 = add(p1, p2)
-            acc = inf
-            for i in range(max(k1.bit_length(), k2.bit_length()) - 1, -1, -1):
-                acc = double(acc)
-                b1 = (k1 >> i) & 1
-                b2 = (k2 >> i) & 1
-                if b1:
-                    acc = add(acc, p12 if b2 else p1)
-                elif b2:
-                    acc = add(acc, p2)
-            return exit_(acc)
-    acc = inf
-    addend = enter(point)
+    params, beta = _g1_glv()
+    if scalar.bit_length() > params.max_component_bits():
+        k1, k2 = params.decompose(scalar)
+        x, y = point
+        p1 = (x, y if k1 > 0 else -y % _Q, 1)
+        p2 = (x * beta % _Q, y if k2 > 0 else -y % _Q, 1)
+        k1, k2 = abs(k1), abs(k2)
+        p12 = _g1_jac_add(p1, p2)
+        acc = (0, 1, 0)
+        for i in range(max(k1.bit_length(), k2.bit_length()) - 1, -1, -1):
+            acc = _g1_jac_double(acc)
+            b1 = (k1 >> i) & 1
+            b2 = (k2 >> i) & 1
+            if b1:
+                acc = _g1_jac_add(acc, p12 if b2 else p1)
+            elif b2:
+                acc = _g1_jac_add(acc, p2)
+        return _g1_from_jac(acc)
+    acc = (0, 1, 0)
+    addend = (point[0], point[1], 1)
     while scalar:
         if scalar & 1:
-            acc = add(acc, addend)
-        addend = double(addend)
+            acc = _g1_jac_add(acc, addend)
+        addend = _g1_jac_double(addend)
         scalar >>= 1
-    return exit_(acc)
+    return _g1_from_jac(acc)
 
 
 # ----- G2 Jacobian core (raw int pairs) -------------------------------------------
@@ -756,14 +541,14 @@ def g1_msm(points, scalars) -> G1Point:
         return None
     if len(pairs) == 1:
         return g1_mul(*pairs[0])
-    if _OPTS.glv:
-        params, _ = _g1_glv()
-        bound = params.max_component_bits()
-        if max(s.bit_length() for _, s in pairs) > bound:
-            pairs = _glv_expand_pairs(pairs)
-    add, double, inf, enter, exit_ = _g1_core()
-    jac_pairs = [(enter(pt), s) for pt, s in pairs]
-    return exit_(_pippenger_jac(jac_pairs, add, double, _g1_jac_is_zero, inf))
+    params, _ = _g1_glv()
+    if max(s.bit_length() for _, s in pairs) > params.max_component_bits():
+        pairs = _glv_expand_pairs(pairs)
+    jac_pairs = [((x, y, 1), s) for (x, y), s in pairs]
+    total = _pippenger_jac(
+        jac_pairs, _g1_jac_add, _g1_jac_double, _g1_jac_is_zero, (0, 1, 0)
+    )
+    return _g1_from_jac(total)
 
 
 def g1_msm_naive(points, scalars) -> G1Point:

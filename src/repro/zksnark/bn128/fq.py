@@ -7,8 +7,6 @@ pairing usable.
 
 from __future__ import annotations
 
-from repro.zksnark.bn128.mont import MontContext
-
 #: The BN128 base-field modulus q (coordinates of curve points).
 FIELD_MODULUS = (
     21888242871839275222246405745257275088696311157297823662689037894645226208583
@@ -56,8 +54,3 @@ def fq_from_bytes(data: bytes) -> int:
         raise ValueError("non-canonical FQ encoding (limb >= field modulus)")
     return value
 
-
-#: Montgomery context for FQ (R = 2^256).  The Montgomery-domain fast
-#: paths in :mod:`repro.zksnark.bn128.curve` run on these helpers and
-#: are differential-tested against the plain ``% q`` arithmetic above.
-MONT = MontContext(FIELD_MODULUS, 256)

@@ -10,9 +10,9 @@ pass in the constructor; squaring additionally exploits product symmetry
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
-from repro.zksnark.bn128.fq import FIELD_MODULUS, MONT
+from repro.zksnark.bn128.fq import FIELD_MODULUS
 
 _Q = FIELD_MODULUS
 _DEGREE = 12
@@ -206,46 +206,6 @@ def _combine_karatsuba(
             prod[i - 6] += 18 * top
             prod[i - 12] -= 82 * top
     return prod[:12]
-
-
-# ----- Montgomery-domain coefficient vectors ----------------------------------
-#
-# Provided for the representation-level toggle axis: FQ12 products in
-# the Montgomery domain pay one REDC per base multiply, whereas the lazy
-# schoolbook above pays raw integer multiplies plus a single % q pass
-# per output coefficient — measurably cheaper on CPython big ints.  The
-# helpers exist so the differential sweep can pin both representations
-# to each other; the pairing hot path intentionally stays lazy.
-
-
-def fq12_to_mont(value: "FQ12") -> Tuple[int, ...]:
-    """An FQ12 element as a tuple of Montgomery-domain coefficients."""
-    return tuple(MONT.to_mont(c) for c in value.coeffs)
-
-
-def fq12_from_mont(coeffs: Sequence[int]) -> "FQ12":
-    """Rebuild an FQ12 element from Montgomery-domain coefficients."""
-    return FQ12([MONT.from_mont(c) for c in coeffs])
-
-
-def fq12_mont_mul(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
-    """Schoolbook FQ12 product with per-multiply Montgomery reduction."""
-    prod = [0] * (2 * _DEGREE - 1)
-    for i in range(_DEGREE):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(_DEGREE):
-            bj = b[j]
-            if bj:
-                prod[i + j] = (prod[i + j] + MONT.mul(ai, bj)) % _Q
-    for i in range(2 * _DEGREE - 2, _DEGREE - 1, -1):
-        top = prod[i]
-        if top:
-            prod[i] = 0
-            prod[i - 6] = (prod[i - 6] + 18 * top) % _Q
-            prod[i - 12] = (prod[i - 12] - 82 * top) % _Q
-    return tuple(prod[:_DEGREE])
 
 
 #: power → tuple of 12 coefficient-tuples: the images (w^(q^power))^i.

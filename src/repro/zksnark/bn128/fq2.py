@@ -2,16 +2,12 @@
 
 Multiplication is 3-multiply Karatsuba over the complex structure;
 :meth:`FQ2.from_bytes` rejects non-canonical limbs so each field
-element has exactly one wire encoding.  Montgomery-domain helpers
-(:func:`fq2_to_mont` / :func:`fq2_mont_mul` / …) mirror the plain
-arithmetic for the representation-level fast paths in ``curve.py``.
+element has exactly one wire encoding.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
-from repro.zksnark.bn128.fq import FIELD_MODULUS, MONT, fq_from_bytes
+from repro.zksnark.bn128.fq import FIELD_MODULUS, fq_from_bytes
 
 _Q = FIELD_MODULUS
 
@@ -112,35 +108,3 @@ class FQ2:
             raise ValueError("FQ2 encoding must be 64 bytes")
         return cls(fq_from_bytes(data[:32]), fq_from_bytes(data[32:]))
 
-
-# ----- Montgomery-domain coefficient pairs ------------------------------------
-#
-# The G2 hot paths in ``curve.py`` run on raw (c0, c1) int pairs rather
-# than FQ2 instances; these helpers provide the Montgomery counterpart
-# of the Karatsuba product above.  All values are canonical ([0, q)).
-
-
-def fq2_to_mont(value: "FQ2") -> Tuple[int, int]:
-    """An FQ2 element as a Montgomery-domain coefficient pair."""
-    return (MONT.to_mont(value.c0), MONT.to_mont(value.c1))
-
-
-def fq2_from_mont(pair: Tuple[int, int]) -> "FQ2":
-    """Rebuild an FQ2 element from a Montgomery-domain pair."""
-    return FQ2(MONT.from_mont(pair[0]), MONT.from_mont(pair[1]))
-
-
-def fq2_mont_mul(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
-    """Karatsuba product of two Montgomery-domain pairs."""
-    a0, a1 = a
-    b0, b1 = b
-    t0 = MONT.mul(a0, b0)
-    t1 = MONT.mul(a1, b1)
-    cross = MONT.mul(a0 + a1, b0 + b1)
-    return ((t0 - t1) % _Q, (cross - t0 - t1) % _Q)
-
-
-def fq2_mont_square(a: Tuple[int, int]) -> Tuple[int, int]:
-    """Square of a Montgomery-domain pair (2 multiplies)."""
-    a0, a1 = a
-    return (MONT.mul(a0 + a1, a0 - a1 + _Q), MONT.mul(2 * a0, a1))

@@ -2,8 +2,8 @@
 
 The contract of :func:`repro.chain.parallel.execute_block` is that the
 committed state, the receipts (every field), and the gas accounting are
-bit-identical to serial execution — for any lane count, any worker
-count, and any lane assignment.  These tests sweep ~100 seeded random
+bit-identical to serial execution — for any lane count and any lane
+assignment.  These tests sweep ~100 seeded random
 blocks (plain transfers, contract calls, cross-contract reads,
 deliberate slot collisions, reverting txs, same-sender nonce chains
 split across lanes) through lane counts 1/2/4/8 and compare roots,
@@ -116,7 +116,7 @@ def test_parallel_matches_serial_sweep(master_seed: int) -> None:
     the invalid-at-speculation re-execution path is exercised too.
     """
     vm = VM()
-    totals = BlockExecutionStats(lanes=0, workers=0)
+    totals = BlockExecutionStats(lanes=0)
     for block_index in range(10):
         rng = random.Random((master_seed << 8) | block_index)
         txs = _random_block(rng)
@@ -142,20 +142,6 @@ def test_parallel_matches_serial_sweep(master_seed: int) -> None:
     assert totals.speculative_commits > 0
     assert totals.reexecutions > 0
     assert totals.conflicts > 0
-
-
-def test_forked_workers_match_in_process() -> None:
-    """Fork-pool speculation and in-process lanes agree bit-for-bit."""
-    vm = VM()
-    rng = random.Random(0xF0)
-    txs = _random_block(rng)
-    expected_state = _base_state()
-    expected = _fingerprint(
-        expected_state, execute_block(vm, expected_state, txs, BLOCK_CTX, lanes=4)
-    )
-    state = _base_state()
-    execution = execute_block(vm, state, txs, BLOCK_CTX, lanes=4, workers=4)
-    assert _fingerprint(state, execution) == expected
 
 
 def test_affinity_assignment_is_deterministic_and_groups_senders() -> None:

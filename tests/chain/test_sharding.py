@@ -264,6 +264,30 @@ def test_engine_outcomes_invariant_across_shard_counts() -> None:
     assert lines[1] == lines[4], "task outcomes diverge across shard counts"
 
 
+def test_engine_report_counts_transactions_on_every_shard() -> None:
+    """Seed 1 lands the whole 4x2 cohort on shard 1; the report must
+    still count its transactions, not just shard 0's."""
+    from repro.core.engine import ProtocolEngine, engine_system, make_uniform_specs
+
+    counts = {}
+    for shards in (None, 2):
+        system = engine_system(4, 2, shards=shards)
+        specs = make_uniform_specs(system, 4, 2, seed=1)
+        report = ProtocolEngine(system, specs).run()
+        counts[shards] = report.transactions
+        if shards is not None:
+            on_chain = sum(
+                len(block.transactions)
+                for shard in system.testnet.shard_testnets
+                for block in shard.any_node.canonical_blocks(
+                    report.start_height + 1, shard.height
+                )
+            )
+            assert report.transactions == on_chain
+    assert counts[None] > 0
+    assert counts[2] == counts[None]
+
+
 def test_engine_transcript_shards1_equals_unsharded_n4() -> None:
     """Fast engine-transcript identity (N=4); N=16 runs in the slow lane."""
     _assert_engine_transcript_identity(num_tasks=4)

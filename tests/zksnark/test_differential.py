@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.crypto import ecdsa
 from repro.zksnark import (
     CircuitDefinition,
     ConstraintSystem,
@@ -32,6 +33,7 @@ from repro.zksnark.bn128.curve import (
     g2_mul,
 )
 from repro.zksnark.bn128.fq import CURVE_ORDER
+from repro.zksnark.bn128.glv import GLVParams
 from repro.zksnark.bn128.pairing import (
     multi_pairing,
     multi_pairing_naive,
@@ -255,57 +257,57 @@ def test_batch_verify_rejects_one_wrong_statement(optimized, keys) -> None:
     assert optimized.batch_verify(keys.verifying_key, statements, proofs) is False
 
 
-# ----- representation toggles: Montgomery x GLV axes (24 + 4 cases) ---------------
-#
-# The Montgomery-domain G1 core and the GLV decomposition are runtime
-# toggles; every combination must agree with the naive oracle (which
-# always runs the plain %-q double-and-add core, independent of the
-# toggles).
+# ----- G1 fast path vs the naive oracle (6 cases) --------------------------------
 
 
-_TOGGLE_AXES = [(False, False), (False, True), (True, False), (True, True)]
-
-
-@pytest.mark.parametrize("montgomery,glv", _TOGGLE_AXES)
 @pytest.mark.parametrize("case", range(6))
-def test_g1_paths_match_naive_under_toggles(
-    case: int, montgomery: bool, glv: bool
-) -> None:
-    from repro.zksnark.bn128.curve import set_fast_opts
+def test_g1_paths_match_naive(case: int) -> None:
+    rng = random.Random(11000 + case)
+    size = rng.randrange(1, 10)
+    points = _g1_points(rng, size)
+    # Full-width scalars so the GLV split actually engages.
+    scalars = [rng.randrange(0, CURVE_ORDER) for _ in range(size)]
+    assert g1_msm(points, scalars) == g1_msm_naive(points, scalars)
+    k = rng.randrange(1, CURVE_ORDER)
+    assert g1_mul(points[0], k) == g1_msm_naive([points[0]], [k])
 
-    prior = set_fast_opts(montgomery=montgomery, glv=glv)
-    try:
-        rng = random.Random(11000 + case)
-        size = rng.randrange(1, 10)
-        points = _g1_points(rng, size)
-        # Full-width scalars so the GLV split actually engages.
-        scalars = [rng.randrange(0, CURVE_ORDER) for _ in range(size)]
+
+# ----- the GLV switch point (G1 and secp256k1) -----------------------------------
+#
+# g1_mul, g1_msm and ecdsa.point_mul take the GLV ladder only above a
+# bit-length threshold; these cases sit exactly on it and one bit over.
+
+_G1_GLV = GLVParams.for_order(CURVE_ORDER)
+_G1_GLV_BITS = _G1_GLV.max_component_bits()
+
+
+def _scalars_of_width(rng: random.Random, bits: int) -> list:
+    low, high = 1 << (bits - 1), (1 << bits) - 1
+    return [low, high, rng.randrange(low, high)]
+
+
+@pytest.mark.parametrize("kind", ["bound", "bound+1", "r-1", "lambda"])
+def test_g1_glv_switch_point_matches_naive(kind: str) -> None:
+    rng = random.Random(f"glv-switch-{kind}")
+    if kind == "bound":
+        ks = _scalars_of_width(rng, _G1_GLV_BITS)
+    elif kind == "bound+1":
+        ks = _scalars_of_width(rng, _G1_GLV_BITS + 1)
+    elif kind == "r-1":
+        ks = [CURVE_ORDER - 1]
+    else:
+        ks = [_G1_GLV.lam]
+    points = _g1_points(rng, 3)
+    for k in ks:
+        assert g1_mul(points[0], k) == g1_msm_naive([points[0]], [k])
+        # The widest scalar decides the MSM's path; the others stay narrower.
+        scalars = [k, rng.randrange(1, k), rng.randrange(1, 2**64)]
         assert g1_msm(points, scalars) == g1_msm_naive(points, scalars)
-        k = rng.randrange(1, CURVE_ORDER)
-        point = points[0]
-        set_fast_opts(montgomery=False, glv=False)
-        reference = g1_mul(point, k)
-        set_fast_opts(montgomery=montgomery, glv=glv)
-        assert g1_mul(point, k) == reference
-    finally:
-        set_fast_opts(*prior)
 
 
-@pytest.mark.parametrize("montgomery,glv", _TOGGLE_AXES)
-def test_verify_accepts_proof_under_every_toggle_combo(
-    optimized, keys, montgomery: bool, glv: bool
-) -> None:
-    """Proof produced under one toggle combo verifies under every other."""
-    from repro.zksnark.bn128.curve import set_fast_opts
-
-    rng = random.Random(12000)
-    instance = _instance(rng)
-    statement = [instance["out"], instance["a"]]
-    prior = set_fast_opts(montgomery=montgomery, glv=glv)
-    try:
-        proof = optimized.prove(keys.proving_key, ProductCircuit(), instance)
-        assert optimized.verify(keys.verifying_key, statement, proof) is True
-    finally:
-        set_fast_opts(*prior)
-    # Cross-check: the proof from this combo verifies with defaults too.
-    assert optimized.verify(keys.verifying_key, statement, proof) is True
+@pytest.mark.parametrize("bits", [130, 131])
+def test_ecdsa_glv_switch_point_matches_windowed(bits: int) -> None:
+    rng = random.Random(14000 + bits)
+    point = ecdsa._windowed_mul(rng.randrange(1, ecdsa.N), ecdsa.GENERATOR)
+    for k in _scalars_of_width(rng, bits) + [ecdsa.N - 1]:
+        assert ecdsa.point_mul(k, point) == ecdsa._windowed_mul(k, point)
