@@ -99,7 +99,7 @@ def test_fig4_verification_is_cheap_relative_to_proving(
 
 #: The "after" column of the previous BENCH_snark.json (pre-GLV, pre-raw-G2,
 #: pre-service): setup 0.8563 s + prove 1.4128 s.  The amortized per-task
-#: cost through the persistent proving service must beat this by >= 2x,
+#: cost through the warm-CRS proving service must beat this by >= 2x,
 #: asserted below so the raw-speed floor cannot silently regress.
 _PREVIOUS_AFTER_SETUP_PLUS_PROVE_S = 2.2691
 
@@ -109,7 +109,7 @@ def test_snark_before_after(benchmark, bench_profile, auth_material) -> None:
 
     Writes ``BENCH_snark.json`` at the repo root: setup/prove/verify in
     both modes, batch_verify(n=10) against 10 sequential verifies, and
-    the persistent proving service's amortized per-task cost (one warm
+    the warm-CRS proving service's amortized per-task cost (one warm
     setup + a prove_many batch).  The optimized hot path must beat the
     naive reference by >= 4x on setup+prove, and the service's
     amortized per-task cost must beat the previous generation's
@@ -184,10 +184,10 @@ def test_snark_before_after(benchmark, bench_profile, auth_material) -> None:
         )
     )
 
-    # Persistent proving service: one warm setup amortized over a batch.
+    # Warm-CRS proving service: one warm setup amortized over a batch.
     from repro.zksnark.service import ProvingService
 
-    service = ProvingService(Groth16Backend(jobs=1), jobs=1)
+    service = ProvingService()
     warm_seconds = min(
         time_call(lambda: service.warm(circuit, seed=b"svc"), repeats=1)
     )
@@ -199,7 +199,6 @@ def test_snark_before_after(benchmark, bench_profile, auth_material) -> None:
     batch_prove_seconds = min(
         time_call(lambda: service.prove_many(requests), repeats=1)
     )
-    service.close()
     amortized_task_seconds = (warm_seconds + batch_prove_seconds) / n_tasks
     service_speedup = _PREVIOUS_AFTER_SETUP_PLUS_PROVE_S / max(
         amortized_task_seconds, 1e-9
@@ -249,7 +248,7 @@ def test_snark_before_after(benchmark, bench_profile, auth_material) -> None:
             "sequential_s": round(sequential_seconds, 4),
             "speedup": round(sequential_seconds / max(batch_seconds, 1e-9), 2),
         },
-        # Persistent proving service: warm the CRS once, then amortize it
+        # Warm-CRS proving service: warm the CRS once, then amortize it
         # over a prove_many batch.  ``speedup_vs_previous_after`` compares
         # the amortized per-task cost against the previous generation's
         # optimized setup+prove (the ratcheted >= 2x floor).

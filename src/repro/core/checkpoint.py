@@ -12,7 +12,8 @@ re-derive every deterministic secret (one-task accounts, task RSA
 keys) from the recorded identities, and converge to the same outcomes
 with exactly-once payment.
 
-Wire format::
+Wire format (the shared :func:`~repro.serialization.framed_encode`
+envelope)::
 
     b"ZLCP" | version (1 byte) | canonical payload | sha256(prefix)
 
@@ -27,15 +28,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.crypto import ecdsa
-from repro.crypto.hashing import sha256
 from repro.errors import CheckpointError
-from repro.serialization import decode, encode
+from repro.serialization import framed_decode, framed_encode
 from repro.chain.transaction import Transaction
 from repro.chain.txsender import PendingTx
 
 CHECKPOINT_MAGIC = b"ZLCP"
 CHECKPOINT_VERSION = 1
-_DIGEST_LEN = 32
 
 
 @dataclass
@@ -260,38 +259,22 @@ class EngineCheckpoint:
 
 
 def encode_checkpoint(checkpoint: EngineCheckpoint) -> bytes:
-    """Serialize a checkpoint: magic + version + payload + sha256."""
+    """Serialize a checkpoint in the shared ``ZLCP`` frame."""
     try:
-        payload = encode(checkpoint.to_obj())
+        return framed_encode(CHECKPOINT_MAGIC, checkpoint.version, checkpoint.to_obj())
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"unencodable checkpoint: {exc}") from exc
-    body = CHECKPOINT_MAGIC + bytes([checkpoint.version]) + payload
-    return body + sha256(body)
 
 
 def decode_checkpoint(data: bytes) -> EngineCheckpoint:
     """Parse and validate a checkpoint; rejects any damage loudly."""
     if not isinstance(data, (bytes, bytearray)):
         raise CheckpointError("checkpoint must be bytes")
-    data = bytes(data)
-    minimum = len(CHECKPOINT_MAGIC) + 1 + _DIGEST_LEN
-    if len(data) < minimum:
-        raise CheckpointError("checkpoint truncated")
-    if not data.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError("bad checkpoint magic")
-    body, digest = data[:-_DIGEST_LEN], data[-_DIGEST_LEN:]
-    if sha256(body) != digest:
-        raise CheckpointError("checkpoint checksum mismatch")
-    version = body[len(CHECKPOINT_MAGIC)]
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    payload = body[len(CHECKPOINT_MAGIC) + 1:]
     try:
-        obj = decode(payload)
-        checkpoint = EngineCheckpoint.from_obj(obj, version)
+        obj = framed_decode(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes(data))
+        return EngineCheckpoint.from_obj(obj, CHECKPOINT_VERSION)
     except (ValueError, TypeError, IndexError) as exc:
-        raise CheckpointError(f"malformed checkpoint payload: {exc}") from exc
-    return checkpoint
+        raise CheckpointError(f"malformed checkpoint: {exc}") from exc
 
 
 class CheckpointStore:

@@ -19,10 +19,11 @@ reproducible.  :meth:`Tracer.set_clock` accepts a plain callable
 returning seconds or a :class:`repro.chain.clock.SimClock`-shaped
 object (anything with a numeric ``now`` attribute).
 
-Process safety: spans record their ``pid``; a forked worker (the SNARK
-``jobs`` fan-out) inherits a consistent snapshot of the buffer and its
-appends stay in the child, so the parent's trace is never corrupted —
-cross-process aggregation is the exporter's job, not the tracer's.
+Process safety: spans record their ``pid``; a forked worker (the
+:func:`repro.zksnark.backend.fanout_map` fork pool) inherits a
+consistent snapshot of the buffer and its appends stay in the child,
+so the parent's trace is never corrupted — cross-process aggregation
+is the exporter's job, not the tracer's.
 """
 
 from __future__ import annotations

@@ -29,11 +29,13 @@ from repro.zksnark.field import FR, PrimeField
 def fanout_map(worker, items: list, jobs: int, chunked: bool):
     """Map ``worker`` over ``items``, forking when ``jobs > 1``.
 
-    ``chunked=True`` splits one long scalar list into per-process
-    slices; ``chunked=False`` maps the worker over heterogeneous tasks.
-    Results always come back in item order (``pool.map`` semantics), so
-    callers that need determinism can rely on it.  Falls back to serial
-    execution wherever fork is unavailable.
+    The repo's one fork pool: the engine's RSA keygen and
+    :meth:`MockBackend.prove_many <repro.zksnark.mock.MockBackend.prove_many>`
+    both go through it.  Results always come back in item order
+    (``pool.map`` semantics), so callers that need determinism can rely
+    on it.  Falls back to serial execution wherever fork is unavailable.
+    ``chunked`` is unused (every caller passes False); it stays in the
+    signature because the benchmark's traced wrapper forwards it.
     """
     if jobs > 1 and len(items) > 1:
         import multiprocessing as mp
@@ -43,16 +45,8 @@ def fanout_map(worker, items: list, jobs: int, chunked: bool):
         except ValueError:
             ctx = None
         if ctx is not None:
-            if chunked:
-                size = (len(items) + jobs - 1) // jobs
-                chunks = [items[i : i + size] for i in range(0, len(items), size)]
-                with ctx.Pool(min(jobs, len(chunks))) as pool:
-                    parts = pool.map(worker, chunks)
-                return [point for part in parts for point in part]
             with ctx.Pool(min(jobs, len(items))) as pool:
                 return pool.map(worker, items)
-    if chunked:
-        return worker(items)
     return [worker(item) for item in items]
 
 
@@ -201,9 +195,8 @@ class ProvingBackend(abc.ABC):
         """Prove a batch of ``(proving_key, circuit, instance)`` jobs.
 
         Returns proofs in request order.  The default loops over
-        :meth:`prove`; backends with a process pool (Groth16's fork
-        fan-out) override this so a shared proving pool can run many
-        tasks' reward proofs concurrently.
+        :meth:`prove`; the mock backend overrides it to fan the batch
+        out over :func:`fanout_map`.
         """
         with obs.span("snark.prove_many", backend=self.name, jobs=len(requests)):
             proofs = [

@@ -15,9 +15,10 @@ Performance layer (all pure Python, no extra dependencies):
 - the verifier pairs against *prepared* γ/δ (precomputed Miller-loop
   line coefficients) and uses the decomposed final exponentiation;
 - :meth:`Groth16Backend.batch_verify` checks n proofs with a single
-  random-linear-combination multi-pairing;
-- ``jobs > 1`` optionally fans setup/prove out over ``multiprocessing``
-  (fork-based; silently serial where fork is unavailable).
+  random-linear-combination multi-pairing.
+
+Setup and proving run in-process; batches go through the base-class
+``prove_many`` loop.
 
 ``Groth16Backend(optimized=False)`` routes every group operation
 through the naive reference implementations — the before/after axis of
@@ -26,7 +27,6 @@ through the naive reference implementations — the before/after axis of
 
 from __future__ import annotations
 
-import os
 import secrets
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence
@@ -35,12 +35,10 @@ from repro import observability as obs
 from repro.crypto.hashing import sha256
 from repro.errors import ProofError
 from repro.zksnark.backend import (
-    BatchProveJob,
     CircuitDefinition,
     KeyPair,
     Proof,
     ProvingBackend,
-    fanout_map,
     full_circuit_digest,
 )
 from repro.zksnark.bn128.curve import (
@@ -168,49 +166,19 @@ _PROOF_LEN = 64 + 128 + 64
 _BATCH_SCALAR_BITS = 127
 
 
-def _g1_generator_chunk(scalars: Sequence[int]) -> List[G1Point]:
-    """Fixed-base G1 generator multiples for one fan-out chunk."""
-    table = g1_generator_table()
-    return [table.mul(s) for s in scalars]
-
-
-def _g2_generator_chunk(scalars: Sequence[int]) -> List[G2Point]:
-    """Fixed-base G2 generator multiples for one fan-out chunk."""
-    table = g2_generator_table()
-    return [table.mul(s) for s in scalars]
-
-
-def _msm_task(task):
-    """One prover MSM, shaped for ``multiprocessing`` map."""
-    kind, points, scalars = task
-    if kind == "g2":
-        return g2_msm(points, scalars)
-    return g1_msm(points, scalars)
-
-
-# Shared with the mock backend; re-exported here for back-compat.
-_ProveJob = BatchProveJob
-_fanout_map = fanout_map
-
-
 class Groth16Backend(ProvingBackend):
     """The real pairing-based backend.
 
     ``optimized=False`` switches every group/pairing operation to the
     naive reference path (double-and-add, per-wire G2 loop, monolithic
     final exponentiation) — kept so benchmarks can measure the speedup
-    and tests can cross-check the two implementations.  ``jobs``
-    (default: the ``REPRO_SNARK_JOBS`` env var, else 1) enables a
-    multiprocessing fan-out for setup and the prover's MSMs.
+    and tests can cross-check the two implementations.
     """
 
     name = "groth16"
 
-    def __init__(self, optimized: bool = True, jobs: Optional[int] = None) -> None:
+    def __init__(self, optimized: bool = True) -> None:
         self._optimized = optimized
-        if jobs is None:
-            jobs = int(os.environ.get("REPRO_SNARK_JOBS", "1") or 1)
-        self._jobs = max(1, jobs)
 
     def setup(self, circuit: CircuitDefinition, seed: Optional[bytes] = None) -> KeyPair:
         with obs.span(
@@ -268,20 +236,13 @@ class Groth16Backend(ProvingBackend):
             power = power * tau % p
 
         if self._optimized:
-            # Build the shared tables before any fork so children
-            # inherit them instead of rebuilding.
             g1_table = g1_generator_table()
             g2_table = g2_generator_table()
-            jobs = self._jobs
 
             def batch_g1(scalars: List[int]) -> List[G1Point]:
-                if jobs > 1 and len(scalars) >= 64:
-                    return _fanout_map(_g1_generator_chunk, scalars, jobs, chunked=True)
                 return [g1_table.mul(s) for s in scalars]
 
             def batch_g2(scalars: List[int]) -> List[G2Point]:
-                if jobs > 1 and len(scalars) >= 64:
-                    return _fanout_map(_g2_generator_chunk, scalars, jobs, chunked=True)
                 return [g2_table.mul(s) for s in scalars]
 
         else:
@@ -347,26 +308,6 @@ class Groth16Backend(ProvingBackend):
         obs.count("snark.prove.calls")
         return proof
 
-    def prove_many(self, requests) -> List[Proof]:
-        """Prove independent jobs across the fork pool (``jobs > 1``).
-
-        Each child proves serially (``jobs=1``) so the per-proof MSM
-        fan-out and the per-job fan-out never nest pools.  Falls back
-        to the serial base implementation wherever fork is unavailable.
-        """
-        if self._jobs <= 1 or len(requests) < 2:
-            return super().prove_many(requests)
-        with obs.span(
-            "snark.prove_many", backend=self.name, jobs=len(requests)
-        ):
-            child = Groth16Backend(optimized=self._optimized, jobs=1)
-            proofs = _fanout_map(
-                _ProveJob(child), list(requests), self._jobs, chunked=False
-            )
-        obs.count("snark.prove_many.calls")
-        obs.count("snark.prove_many.jobs", len(requests))
-        return proofs
-
     def _prove(
         self,
         proving_key: Groth16ProvingKey,
@@ -410,16 +351,11 @@ class Groth16Backend(ProvingBackend):
         p = CURVE_ORDER
 
         if self._optimized:
-            tasks = [
-                ("g1", proving_key.a_query, assignment),
-                ("g1", proving_key.b_g1_query, assignment),
-                ("g2", proving_key.b_g2_query, assignment),
-                ("g1", proving_key.k_query, aux_values),
-                ("g1", proving_key.h_query[: len(h_coeffs)], h_coeffs),
-            ]
-            a_acc, b1_acc, b2_acc, k_acc, h_acc = _fanout_map(
-                _msm_task, tasks, self._jobs, chunked=False
-            )
+            a_acc = g1_msm(proving_key.a_query, assignment)
+            b1_acc = g1_msm(proving_key.b_g1_query, assignment)
+            b2_acc = g2_msm(proving_key.b_g2_query, assignment)
+            k_acc = g1_msm(proving_key.k_query, aux_values)
+            h_acc = g1_msm(proving_key.h_query[: len(h_coeffs)], h_coeffs)
         else:
             a_acc = g1_msm_naive(proving_key.a_query, assignment)
             b1_acc = g1_msm_naive(proving_key.b_g1_query, assignment)

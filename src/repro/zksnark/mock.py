@@ -65,36 +65,28 @@ class MockVerifyingKey:
 class MockBackend(ProvingBackend):
     """Ideal SNARK functionality with Groth16-shaped accounting.
 
-    ``jobs`` controls the fork fan-out used by :meth:`prove_many` only
-    (single proofs are too cheap to ship to a pool); it defaults to the
-    ``REPRO_SNARK_JOBS`` env var, else the CPU count, so the engine's
-    shared proving pool parallelizes out of the box.
+    :meth:`prove_many` fans a batch out over the :func:`fanout_map` fork
+    pool at ``os.cpu_count()`` width, the same width as the engine's RSA
+    keygen pool; single proofs are too cheap to ship to a pool.
     """
 
     name = "mock"
-
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        if jobs is None:
-            jobs = int(os.environ.get("REPRO_SNARK_JOBS", "0") or 0)
-        self._jobs = max(1, jobs or (os.cpu_count() or 1))
 
     def prove_many(self, requests) -> List[Proof]:
         """Prove independent jobs across a fork pool, in request order.
 
         Proofs are deterministic MACs, so the fan-out is transcript-
         equivalent to the serial loop — only faster.  Falls back to the
-        serial base implementation for tiny batches or where fork is
-        unavailable.
+        serial base implementation for tiny batches or single-CPU hosts.
         """
         requests = list(requests)
-        if self._jobs <= 1 or len(requests) < 2:
+        jobs = os.cpu_count() or 1
+        if jobs <= 1 or len(requests) < 2:
             return super().prove_many(requests)
         with obs.span(
             "snark.prove_many", backend=self.name, jobs=len(requests)
         ):
-            proofs = fanout_map(
-                BatchProveJob(self), requests, self._jobs, chunked=False
-            )
+            proofs = fanout_map(BatchProveJob(self), requests, jobs, chunked=False)
         if obs.TRACER.enabled:
             obs.count("snark.prove_many.calls")
             obs.count("snark.prove_many.jobs", len(requests))

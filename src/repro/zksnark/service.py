@@ -1,25 +1,13 @@
-"""A persistent proving service: warmed CRS cache + long-lived fork pool.
+"""A warm-CRS proving service: setup cached per circuit digest.
 
 :class:`ProvingService` wraps a :class:`~repro.zksnark.groth16.Groth16Backend`
-(or any other registered backend) behind the same
-:class:`~repro.zksnark.backend.ProvingBackend` interface, adding two
-amortizations that matter for a long-running requester node:
-
-- **Warm keys.** ``setup`` is cached per circuit digest, so the trusted
-  setup for a circuit shape (e.g. the reward circuit for n workers) is
-  paid once per process instead of once per task.  ``warm()`` exposes
-  the cache explicitly so a node can pre-generate CRS material at boot.
-- **Persistent workers.** With ``jobs > 1``, ``prove_many`` dispatches
-  to one long-lived fork pool instead of creating (and tearing down) a
-  pool per batch.  The pool is created *after* the key cache is warm,
-  so forked children inherit every proving key and generator table
-  through copy-on-write memory; batch jobs then ship only
-  ``(digest, instance)`` — the multi-megabyte proving keys are never
-  re-pickled per job.
-
-On a single-core host the pool is skipped entirely (``jobs=1`` forks
-would only add overhead); the warm-key amortization is the honest win
-there and is what ``benchmarks/bench_fig4.py`` measures.
+behind the same :class:`~repro.zksnark.backend.ProvingBackend`
+interface.  ``setup`` is cached per circuit digest, so the trusted setup
+for a circuit shape (e.g. the reward circuit for n workers) is paid once
+per process instead of once per task.  ``warm()`` exposes the cache
+explicitly so a node can pre-generate CRS material at boot; this
+amortization is what ``benchmarks/bench_fig4.py`` measures.  Proving and
+verification delegate to the wrapped backend.
 
 The service registers as ``"groth16-service"``, so protocol code can
 opt in with ``engine_system(..., backend_name="groth16-service")``.
@@ -27,11 +15,9 @@ opt in with ``engine_system(..., backend_name="groth16-service")``.
 
 from __future__ import annotations
 
-import os
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro import observability as obs
-from repro.errors import ProofError
 from repro.zksnark.backend import (
     CircuitDefinition,
     KeyPair,
@@ -39,49 +25,17 @@ from repro.zksnark.backend import (
     ProvingBackend,
     full_circuit_digest,
 )
-
-#: The service instance whose key cache fork children inherit.  Set
-#: immediately before pool creation; workers read it after the fork.
-_ACTIVE_SERVICE: Optional["ProvingService"] = None
-
-
-def _pool_prove_job(job: Tuple[bytes, Any]) -> Proof:
-    """Fork-pool worker: prove one ``(digest, instance)`` job.
-
-    Runs in a child process that inherited the parent's warm cache at
-    fork time, so the digest lookup never misses.
-    """
-    digest, instance = job
-    service = _ACTIVE_SERVICE
-    assert service is not None, "pool worker forked without an active service"
-    keys, circuit = service._warm[digest]
-    return service._backend.prove(keys.proving_key, circuit, instance)
+from repro.zksnark.groth16 import Groth16Backend
 
 
 class ProvingService(ProvingBackend):
-    """A drop-in backend that amortizes setup and pool creation."""
+    """A drop-in Groth16 backend that amortizes setup."""
 
     name = "groth16-service"
 
-    def __init__(
-        self,
-        backend: Optional[ProvingBackend] = None,
-        jobs: Optional[int] = None,
-    ) -> None:
-        if backend is None:
-            from repro.zksnark.groth16 import Groth16Backend
-
-            backend = Groth16Backend(jobs=1)
-        self._backend = backend
-        if jobs is None:
-            jobs = int(os.environ.get("REPRO_SNARK_JOBS", "1") or 1)
-        self._jobs = max(1, jobs)
-        #: digest -> (KeyPair, circuit); the CRS cache children inherit.
-        self._warm: Dict[bytes, Tuple[KeyPair, CircuitDefinition]] = {}
-        self._pool = None
-        #: Digests present when the current pool forked; a job outside
-        #: this set forces a pool restart so children re-inherit.
-        self._pool_digests: frozenset = frozenset()
+    def __init__(self) -> None:
+        self._backend = Groth16Backend()
+        self._warm: Dict[bytes, KeyPair] = {}
 
     # ----- warm CRS cache ----------------------------------------------------
 
@@ -95,32 +49,21 @@ class ProvingService(ProvingBackend):
         CRS regardless of object identity.
         """
         digest = full_circuit_digest(circuit)
-        entry = self._warm.get(digest)
-        if entry is None:
+        keys = self._warm.get(digest)
+        if keys is None:
             with obs.span("snark.service.warm", circuit=circuit.name):
                 keys = self._backend.setup(circuit, seed=seed)
-            self._warm[digest] = (keys, circuit)
+            self._warm[digest] = keys
             if obs.TRACER.enabled:
                 obs.count("snark.service.warm_misses")
             return keys
         if obs.TRACER.enabled:
             obs.count("snark.service.warm_hits")
-        return entry[0]
+        return keys
 
     def warmed_digests(self) -> List[bytes]:
         """Digests with cached key material (diagnostics / tests)."""
         return list(self._warm)
-
-    def _record(self, proving_key: Any, circuit: CircuitDefinition) -> Optional[bytes]:
-        """Adopt an externally-set-up key into the warm cache."""
-        digest = getattr(proving_key, "circuit_digest", None)
-        if digest is not None and digest not in self._warm:
-            # The verifying key is unknown here; keep the pair partial.
-            self._warm[digest] = (
-                KeyPair(proving_key=proving_key, verifying_key=None),
-                circuit,
-            )
-        return digest
 
     # ----- ProvingBackend interface ------------------------------------------
 
@@ -145,82 +88,3 @@ class ProvingService(ProvingBackend):
     def _check_backend(self, proof: Proof) -> None:
         # Proofs carry the delegate's tag; accept those.
         self._backend._check_backend(proof)
-
-    def prove_many(self, requests: Sequence[tuple]) -> List[Proof]:
-        """Prove ``(proving_key, circuit, instance)`` jobs in order.
-
-        Keys seen here are adopted into the warm cache; with a
-        persistent pool the jobs ship digest-keyed so the proving keys
-        travel once (at fork) rather than once per job.
-        """
-        requests = list(requests)
-        if not requests:
-            return []
-        with obs.span(
-            "snark.service.prove_many", backend=self.name, jobs=len(requests)
-        ):
-            digests = []
-            for proving_key, circuit, _ in requests:
-                digests.append(self._record(proving_key, circuit))
-            if self._jobs > 1 and len(requests) > 1 and all(digests):
-                proofs = self._prove_pooled(requests, digests)
-            else:
-                proofs = [
-                    self._backend.prove(pk, circuit, instance)
-                    for pk, circuit, instance in requests
-                ]
-        if obs.TRACER.enabled:
-            obs.count("snark.service.prove_many.calls")
-            obs.count("snark.service.prove_many.jobs", len(requests))
-        return proofs
-
-    # ----- persistent pool ---------------------------------------------------
-
-    def _ensure_pool(self):
-        global _ACTIVE_SERVICE
-        needed = frozenset(self._warm)
-        if self._pool is not None and needed <= self._pool_digests:
-            return self._pool
-        import multiprocessing as mp
-
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:
-            return None
-        self._close_pool()
-        _ACTIVE_SERVICE = self
-        self._pool = ctx.Pool(self._jobs)
-        self._pool_digests = needed
-        if obs.TRACER.enabled:
-            obs.count("snark.service.pool_starts")
-        return self._pool
-
-    def _prove_pooled(self, requests, digests) -> List[Proof]:
-        pool = self._ensure_pool()
-        if pool is None:  # fork unavailable on this platform
-            return [
-                self._backend.prove(pk, circuit, instance)
-                for pk, circuit, instance in requests
-            ]
-        jobs = [
-            (digest, instance)
-            for digest, (_, _, instance) in zip(digests, requests)
-        ]
-        return pool.map(_pool_prove_job, jobs)
-
-    def _close_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            self._pool_digests = frozenset()
-
-    def close(self) -> None:
-        """Shut down the worker pool (the warm cache stays usable)."""
-        self._close_pool()
-
-    def __enter__(self) -> "ProvingService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -74,6 +74,17 @@ def test_checkpoint_roundtrip_preserves_everything() -> None:
     assert pending.attempts == 2
 
 
+def test_checkpoint_wire_bytes_are_pinned() -> None:
+    """The ZLCP frame is the shared serialization envelope, byte for byte
+    the hand-rolled format it replaced: old snapshots still decode."""
+    import hashlib
+
+    wire = encode_checkpoint(_sample_checkpoint())
+    assert hashlib.sha256(wire).hexdigest() == (
+        "92466b7ed7e197de4072b20d397d4b91f3071fc2945d410296154f7244e94740"
+    )
+
+
 def test_checkpoint_rejects_truncation_everywhere() -> None:
     wire = encode_checkpoint(_sample_checkpoint())
     for cut in (0, 1, 4, len(wire) // 2, len(wire) - 1):

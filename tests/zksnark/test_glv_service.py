@@ -1,4 +1,4 @@
-"""Unit tests for GLV decomposition and the persistent proving service,
+"""Unit tests for GLV decomposition and the warm-CRS proving service,
 plus a cheap 10-case sweep of the full G1 fast path (GLV split and
 Pippenger) against the naive oracle.
 """
@@ -107,7 +107,7 @@ class TestEcdsaGLV:
         )
 
 
-# ----- persistent proving service -------------------------------------------------
+# ----- warm-CRS proving service ---------------------------------------------------
 
 
 class TestProvingService:
@@ -116,7 +116,7 @@ class TestProvingService:
         assert isinstance(service, ProvingService)
 
     def test_setup_is_warm_cached_by_digest(self) -> None:
-        service = ProvingService(Groth16Backend(optimized=True, jobs=1))
+        service = ProvingService()
         first = service.setup(ProductCircuit(), seed=b"svc-test")
         # A *different* circuit object with the same structure hits the
         # same cache entry: keying is by digest, not object identity.
@@ -125,7 +125,7 @@ class TestProvingService:
         assert len(service.warmed_digests()) == 1
 
     def test_prove_verify_through_service(self) -> None:
-        service = ProvingService(Groth16Backend(optimized=True, jobs=1))
+        service = ProvingService()
         circuit = ProductCircuit()
         keys = service.warm(circuit, seed=b"svc-prove")
         instance = {"out": 35, "a": 5, "b": 7}
@@ -133,27 +133,32 @@ class TestProvingService:
         assert service.verify(keys.verifying_key, [35, 5], proof) is True
         assert service.verify(keys.verifying_key, [36, 5], proof) is False
 
-    def test_prove_many_serial_path_and_key_adoption(self) -> None:
-        service = ProvingService(Groth16Backend(optimized=True, jobs=1), jobs=1)
+    def test_setup_after_prove_many_with_external_keys_has_vk(self) -> None:
+        """Proving with keys set up elsewhere must not poison the cache:
+        a later ``setup`` of the same circuit shape still returns a full
+        key pair whose verifying key accepts its proofs."""
+        service = ProvingService()
         circuit = ProductCircuit()
-        # Keys set up OUTSIDE the service get adopted into the warm cache.
         external = Groth16Backend(optimized=True).setup(circuit, seed=b"ext")
         requests = [
             (external.proving_key, circuit, {"out": 6, "a": 2, "b": 3}),
             (external.proving_key, circuit, {"out": 35, "a": 5, "b": 7}),
         ]
         proofs = service.prove_many(requests)
-        assert len(proofs) == 2
         assert service.verify(external.verifying_key, [6, 2], proofs[0])
         assert service.verify(external.verifying_key, [35, 5], proofs[1])
-        assert len(service.warmed_digests()) == 1
+
+        keys = service.setup(ProductCircuit(), seed=b"svc-after-external")
+        assert keys.verifying_key is not None
+        proof = service.prove(keys.proving_key, circuit, {"out": 35, "a": 5, "b": 7})
+        assert service.verify(keys.verifying_key, [35, 5], proof)
 
     def test_prove_many_empty(self) -> None:
-        service = ProvingService(Groth16Backend(optimized=True, jobs=1))
+        service = ProvingService()
         assert service.prove_many([]) == []
 
     def test_batch_verify_delegates(self) -> None:
-        service = ProvingService(Groth16Backend(optimized=True, jobs=1))
+        service = ProvingService()
         circuit = ProductCircuit()
         keys = service.warm(circuit, seed=b"svc-batch")
         instances = [
@@ -169,11 +174,6 @@ class TestProvingService:
             service.batch_verify(keys.verifying_key, [[6, 2], [34, 5]], proofs)
             is False
         )
-
-    def test_close_is_idempotent(self) -> None:
-        with ProvingService(Groth16Backend(optimized=True, jobs=1)) as service:
-            service.close()
-        service.close()
 
 
 # ----- cheap 10-case naive-vs-full-fast-path sweep --------------------------------

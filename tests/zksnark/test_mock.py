@@ -103,6 +103,56 @@ def test_groth16_refuses_native_circuits() -> None:
         Groth16Backend().setup(NativeCircuit(), seed=b"x")
 
 
+@pytest.fixture(scope="module")
+def reward_requests(backend):
+    """Four mock reward-proof requests with distinct statements."""
+    from repro.core.policy import MajorityVotePolicy
+    from repro.core.reward_circuit import MajorityRewardCircuit, build_reward_instance
+    from repro.zksnark.gadgets.mimc import MiMCParameters
+
+    mimc = MiMCParameters.for_rounds(7)
+    policy = MajorityVotePolicy(num_choices=4)
+    circuit = MajorityRewardCircuit(3, policy, mimc)
+    key_pair = backend.setup(circuit, seed=b"fanout")
+    requests = []
+    for votes in ([1, 1, 2], [0, 3, 3], [2, None, 2], [3, 3, 3]):
+        answers = [None if v is None else [v] for v in votes]
+        keys = [0 if v is None else 100 + i for i, v in enumerate(votes)]
+        instance = build_reward_instance(policy, 120, keys, answers, mimc)
+        requests.append((key_pair.proving_key, circuit, instance))
+    return requests
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_fork_pool_matches_serial_prove_in_order(
+    backend, reward_requests, jobs
+) -> None:
+    from repro.zksnark.backend import BatchProveJob, fanout_map
+
+    serial = [backend.prove(*request) for request in reward_requests]
+    assert len({proof.payload for proof in serial}) == len(serial)
+    assert fanout_map(BatchProveJob(backend), reward_requests, jobs, chunked=False) == serial
+
+
+def test_fork_pool_falls_back_to_serial_without_fork(
+    backend, reward_requests, monkeypatch
+) -> None:
+    import multiprocessing
+
+    from repro.zksnark.backend import BatchProveJob, fanout_map
+
+    asked = []
+
+    def no_fork(method=None):
+        asked.append(method)
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    serial = [backend.prove(*request) for request in reward_requests]
+    assert fanout_map(BatchProveJob(backend), reward_requests, 4, chunked=False) == serial
+    assert asked == ["fork"]
+
+
 def test_backend_registry() -> None:
     from repro.zksnark import get_backend
 
