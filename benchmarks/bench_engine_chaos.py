@@ -115,7 +115,7 @@ def measure_cell(
     store = CheckpointStore()
     engine = ProtocolEngine(
         system, specs,
-        max_rounds=2048, breaker_threshold=3,
+        max_rounds=2048,
         checkpoint_store=store, checkpoint_every=2,
         crash_hook=schedule.hook,
     )
@@ -129,7 +129,7 @@ def measure_cell(
             rounds += engine.round
             engine = ProtocolEngine.resume(
                 system, store.latest(),
-                max_rounds=2048, breaker_threshold=3,
+                max_rounds=2048,
                 checkpoint_store=store, checkpoint_every=2,
                 crash_hook=schedule.hook,
             )

@@ -48,13 +48,7 @@ from repro.chain.state import WorldState
 from repro.chain.transaction import SignedTransaction, Transaction, encode_call
 from repro.chain.vm import VM
 from repro.core.engine import (
-    COLLECTING,
-    FUNDING,
-    FUNDING_WORKERS,
-    PROVING,
-    PUBLISHING,
-    REWARDING,
-    SUBMITTING,
+    HEALTHY_PHASES,
     EngineReport,
     ProtocolEngine,
     engine_system,
@@ -63,17 +57,6 @@ from repro.core.engine import (
 )
 
 _BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
-
-#: Engine phase transitions, in protocol order (for per-task latencies).
-_PHASE_ORDER = [
-    FUNDING,
-    PUBLISHING,
-    FUNDING_WORKERS,
-    SUBMITTING,
-    COLLECTING,
-    PROVING,
-    REWARDING,
-]
 
 #: Span names whose wall-time distribution the instrumented run records.
 _SPAN_NAMES = ("engine.round", "snark.prove", "chain.create_block", "chain.import_block")
@@ -108,7 +91,7 @@ def _fresh(num_tasks: int, workers: int, backend: str):
 def _phase_latency_blocks(report: EngineReport) -> Dict[str, Dict[str, float]]:
     """Per-phase block latency percentiles across the cohort."""
     out: Dict[str, Dict[str, float]] = {}
-    for prev, phase in zip(_PHASE_ORDER, _PHASE_ORDER[1:]):
+    for prev, phase in zip(HEALTHY_PHASES, HEALTHY_PHASES[1:]):
         deltas = [
             outcome.phase_blocks[phase] - outcome.phase_blocks[prev]
             for outcome in report.outcomes

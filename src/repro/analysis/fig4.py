@@ -18,6 +18,7 @@ from typing import List
 from repro.profiles import SecurityProfile, get_profile
 from repro.anonauth import AnonymousAuthScheme, UserKeyPair, setup as auth_setup
 from repro.core.metrics import BoxStats
+from repro.errors import VerificationError
 
 #: Paper-reported medians (seconds).
 PAPER_PC_A_SECONDS = 78.0
@@ -99,7 +100,8 @@ def run_fig4(
         samples.append(elapsed)
         if verbose:
             print(f"[fig4] run {run + 1}/{runs}: {elapsed:.2f}s", flush=True)
-        assert scheme.verify(message, attestation, commitment)
+        if not scheme.verify(message, attestation, commitment):
+            raise VerificationError(f"fig4 run {run}: attestation does not verify")
     return Fig4Result(
         profile=profile.name,
         backend=backend_name,

@@ -28,6 +28,7 @@ from repro.core.reward_circuit import (
     make_reward_circuit,
     reward_statement,
 )
+from repro.errors import VerificationError
 from repro.zksnark.backend import get_backend
 
 #: The worker counts evaluated in the paper.
@@ -112,7 +113,8 @@ def run_table1(
     started = time.perf_counter()
     ok = backend.verify(params.keys.verifying_key, statement, attestation.proof)
     verify_seconds = time.perf_counter() - started
-    assert ok, "auth verification must pass"
+    if not ok:
+        raise VerificationError("table1: auth attestation does not verify")
     auth_cs = params.circuit().build(
         scheme_instance_for_digest(scheme, message, user, certificate, commitment)
     )
@@ -150,7 +152,8 @@ def run_table1(
         started = time.perf_counter()
         ok = backend.verify(keys.verifying_key, statement, proof)
         verify_seconds = time.perf_counter() - started
-        assert ok, f"majority({n}) verification must pass"
+        if not ok:
+            raise VerificationError(f"table1: majority({n}) proof does not verify")
         rows.append(
             Table1Row(
                 label=f"Majority ({n}-Worker)",

@@ -14,6 +14,8 @@ import argparse
 import sys
 from typing import Dict, List, Optional, Sequence
 
+from repro.errors import ProtocolError, VerificationError
+
 #: Algorithm 1's phases, in protocol order.  ``protocol.<phase>`` is the
 #: span name each phase is recorded under.
 ALGORITHM1_PHASES = ("register", "authenticate", "submit", "audit", "reward")
@@ -137,10 +139,13 @@ def run_demo_round() -> List[dict]:
         )
         for worker, answer in zip(workers, ([1], [1])):
             record = worker.submit_answer(task, answer)
-            assert record.receipt.success, record.receipt.error
-        assert task.audit_submissions()
+            if not record.receipt.success:
+                raise ProtocolError(f"demo submission failed: {record.receipt.error}")
+        if not task.audit_submissions():
+            raise VerificationError("demo round: submission audit failed")
         receipt = requester.evaluate_and_reward(task)
-        assert receipt.success, receipt.error
+        if not receipt.success:
+            raise ProtocolError(f"demo reward failed: {receipt.error}")
         return [span.to_dict() for span in obs.TRACER.finished_spans()]
     finally:
         obs.TRACER.set_clock(None)

@@ -22,8 +22,7 @@ from typing import Tuple
 
 from repro.errors import ProtocolError
 from repro.core.anonymity import derive_one_task_account
-
-SETTLED_STATUSES = ("completed", "defaulted", "aborted")
+from repro.core.engine import STATUS_ABORTED, STATUS_COMPLETED, STATUS_DEFAULTED
 
 
 def _resident_node(node, address: bytes):
@@ -89,13 +88,13 @@ def assert_exactly_once_payouts(system, specs, outcomes) -> None:
             for worker, answer in zip(spec.workers, spec.answers)
             if answer is not None
         ]
-        if outcome.status == "aborted":
+        if outcome.status == STATUS_ABORTED:
             if outcome.rewards or submitters:
                 raise ProtocolError(
                     f"task {outcome.index}: aborted with submissions"
                 )
             continue
-        if outcome.status not in ("completed", "defaulted"):
+        if outcome.status not in (STATUS_COMPLETED, STATUS_DEFAULTED):
             raise ProtocolError(
                 f"task {outcome.index}: unsettled status {outcome.status!r}"
             )

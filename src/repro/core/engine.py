@@ -19,8 +19,9 @@ deterministically:
 - the whole cohort registers at the RA under ONE on-chain commitment
   update (:meth:`ZebraLancerSystem.register_participants`);
 - reward proofs from every task that finished collecting in the same
-  round are proved together through the backend's ``prove_many``
-  (Groth16 fans the batch out over a fork pool).
+  round are proved together through the backend's ``prove_many`` (the
+  mock backend fans the batch out over the ``fanout_map`` fork pool;
+  Groth16 proves it in turn).
 
 On top of the scheduler sits the resilience layer:
 
@@ -51,18 +52,19 @@ runs replay exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import os
 import random
+import time
 
 from repro import observability as obs
 from repro.crypto import ecdsa
 from repro.crypto.hashing import sha256
 from repro.errors import ChainError, CheckpointError, ProtocolError
 from repro.chain.transaction import Transaction, encode_call
-from repro.chain.txsender import PendingTx
+from repro.chain.txsender import PendingTx, TxAbandonedError
 from repro.core.checkpoint import (
     CheckpointStore,
     EngineCheckpoint,
@@ -71,6 +73,7 @@ from repro.core.checkpoint import (
     decode_checkpoint,
     encode_checkpoint,
 )
+from repro.core.anonymity import derive_one_task_account
 from repro.core.encryption import TaskKeyPair
 from repro.core.policy import (
     MajorityVotePolicy,
@@ -85,11 +88,13 @@ from repro.core.protocol import (
     ZebraLancerSystem,
 )
 from repro.core.requester import PreparedPublish, Requester, RewardJob
-from repro.core.supervisor import RECOVERABLE, RetryPolicy, TaskSupervisor
+from repro.core.simulation import sample_answer
+from repro.core.supervisor import RECOVERABLE, TaskSupervisor
 from repro.core.worker import PreparedSubmission, Worker
 from repro.zksnark.backend import fanout_map
 
-#: Task state-machine phases, in protocol order.
+#: Task state-machine phase names; :data:`PHASES` declares their order
+#: and how the scheduler treats each.
 FUNDING = "funding"
 PUBLISHING = "publishing"
 FUNDING_WORKERS = "funding-workers"
@@ -97,10 +102,11 @@ SUBMITTING = "submitting"
 COLLECTING = "collecting"
 PROVING = "proving"
 REWARDING = "rewarding"
-#: Resilience phases (never entered on the healthy path).
 SETTLING = "settling"
 QUARANTINED = "quarantined"
 DONE = "done"
+#: The ``phase_blocks`` key recording when a task settled from the chain.
+SETTLED = "settled"
 
 #: Terminal task statuses (chain-derived where a contract exists).
 STATUS_COMPLETED = "completed"
@@ -206,9 +212,6 @@ class TaskOutcome:
     phase_blocks: Dict[str, int] = field(default_factory=dict)
     #: Phase-completion simulated timestamps (SimClock seconds).
     phase_times: Dict[str, int] = field(default_factory=dict)
-
-    def phase_latency_blocks(self, start: str, end: str) -> int:
-        return self.phase_blocks[end] - self.phase_blocks[start]
 
 
 @dataclass
@@ -373,23 +376,15 @@ class _TaskRunner:
     # ----- the state machine ----------------------------------------------------------
 
     def step(self) -> None:
-        if self.state == FUNDING:
-            self._step_funding()
-        elif self.state == PUBLISHING:
-            self._step_publishing()
-        elif self.state == FUNDING_WORKERS:
-            self._step_funding_workers()
-        elif self.state == SUBMITTING:
-            self._step_submitting()
-        elif self.state == COLLECTING:
-            self._step_collecting()
-        elif self.state == REWARDING:
-            self._step_rewarding()
-        elif self.state == SETTLING:
-            self._step_settling()
-        elif self.state == QUARANTINED:
-            self._step_quarantined()
-        # PROVING waits on the engine's proving pool; DONE is terminal.
+        phase = PHASES.get(self.state)
+        if phase is None:
+            # Not a ProtocolError: the supervisor would retry and then
+            # quarantine the task instead of surfacing the bug.
+            raise RuntimeError(
+                f"task {self.index} is in undeclared phase {self.state!r}"
+            )
+        if phase.step is not None:
+            phase.step(self)
 
     def _step_funding(self) -> None:
         if not self._started:
@@ -439,40 +434,35 @@ class _TaskRunner:
         """
         self.outcome.address = self.handle.address
         self._mark(PUBLISHING)
-        # Stage every present worker's submission and fund their
-        # one-task addresses (plus any equivocating sybil addresses)
-        # as one faucet wave.
-        pendings: List[PendingTx] = []
-        self._submissions = []
-        for worker, answer in zip(self.spec.workers, self.spec.answers):
-            if answer is None:
-                continue
-            prepared = worker.prepare_submission(self.handle, answer)
-            self._submissions.append((worker, answer, prepared))
-            pendings.append(
-                self.engine.testnet.fund_async(
-                    prepared.account.address,
-                    DEFAULT_GAS_ALLOWANCE,
-                    near=self.handle.address,
-                )
-            )
-        self._stage_equivocations()
-        for account, _ in self._byzantine_staged:
-            pendings.append(
+        # Fund every submitter's one-task address (plus any equivocating
+        # sybil addresses) as one faucet wave.
+        self._stage_submissions()
+        accounts = [prepared.account for _, _, prepared in self._submissions]
+        accounts += [account for account, _ in self._byzantine_staged]
+        self._broadcast(
+            [
                 self.engine.testnet.fund_async(
                     account.address, DEFAULT_GAS_ALLOWANCE, near=self.handle.address
                 )
-            )
-        self._broadcast(pendings)
+                for account in accounts
+            ]
+        )
         self.state = FUNDING_WORKERS
 
-    def _stage_equivocations(self) -> None:
+    def _stage_submissions(self, validate: bool = True) -> None:
+        """Prepare every present worker's submission and the equivocations."""
+        self._submissions = []
+        for worker, answer in zip(self.spec.workers, self.spec.answers):
+            if answer is not None:
+                prepared = worker.prepare_submission(
+                    self.handle, answer, validate=validate
+                )
+                self._submissions.append((worker, answer, prepared))
+        self._byzantine_staged = []
         if not self.spec.equivocators:
-            self._byzantine_staged = []
             return
         from repro.core.attacks import prepare_equivocation
 
-        self._byzantine_staged = []
         for attempt, worker_index in enumerate(self.spec.equivocators, start=1):
             worker = self.spec.workers[worker_index]
             answer = self.spec.answers[worker_index]
@@ -556,7 +546,7 @@ class _TaskRunner:
         self.state = PROVING
 
     def deliver_proof(self, proof) -> None:
-        """Proving-pool callback: broadcast the proved instruction."""
+        """Proving-queue callback: broadcast the proved instruction."""
         self._mark(PROVING)
         tx = self.spec.requester.reward_transaction(self.reward_job, proof)
         account = self.spec.requester.task_account(self.handle)
@@ -592,7 +582,7 @@ class _TaskRunner:
         if not self._service():
             return
         receipt = self._wave[0].receipt
-        if not receipt.success and "already settled" not in (receipt.error or ""):
+        if not _settles(receipt):
             raise ProtocolError(
                 f"settlement for task {self.index} failed: {receipt.error}"
             )
@@ -600,13 +590,11 @@ class _TaskRunner:
 
     def _finish_from_chain(self) -> None:
         """Adopt the contract's terminal phase as this task's outcome."""
-        phase = self.handle.phase()
-        self.outcome.status = phase
+        self.outcome.status = self.handle.phase()
         self.outcome.rewards = self.handle.rewards()
         self._settling = False
-        self._mark("settled")
-        if obs.TRACER.enabled:
-            obs.count("engine.settlements")
+        self._mark(SETTLED)
+        obs.count("engine.settlements")
         self.state = DONE
 
     def quarantine(self, reason: str) -> None:
@@ -616,13 +604,9 @@ class _TaskRunner:
         self.quarantine_reason = reason
         self.outcome.quarantined = True
         self._mark(QUARANTINED)
-        self.engine.quarantines += 1
-        if obs.TRACER.enabled:
-            obs.count("engine.quarantines")
-            with obs.span(
-                "engine.quarantine", task=self.index, state=self.state
-            ) as span:
-                span.set_attrs(reason=reason)
+        obs.count("engine.quarantines")
+        with obs.span("engine.quarantine", task=self.index, state=self.state) as span:
+            span.set_attrs(reason=reason)
         self.state = QUARANTINED
 
     def _step_quarantined(self) -> None:
@@ -638,11 +622,7 @@ class _TaskRunner:
                 self._settling = False
                 self._wave = []
             if self._settling:
-                receipt = self._wave[0].receipt if self._wave else None
-                if receipt is not None and (
-                    receipt.success
-                    or "already settled" in (receipt.error or "")
-                ):
+                if self._wave and _settles(self._wave[0].receipt):
                     self._finish_from_chain()
                     return
                 # Reverted for a timing reason; re-evaluate below.
@@ -677,12 +657,7 @@ class _TaskRunner:
 
     def _quarantined_without_contract(self) -> None:
         """Quarantined before the deploy confirmed: adopt or write off."""
-        if self._contract_deployed():
-            self.handle = self.spec.requester.adopt_task(
-                self.prepared,
-                nonce=self.engine.node.nonce_of(self.prepared.account.address),
-            )
-            self.outcome.address = self.handle.address
+        if self._adopt_deployed():
             return  # settle via the normal quarantine flow next round
         if self._pending:
             try:
@@ -698,6 +673,17 @@ class _TaskRunner:
         self.state = DONE
 
     # ----- recovery -------------------------------------------------------------------
+
+    def _adopt_deployed(self) -> bool:
+        """Adopt a deployment that landed under a receipt never seen."""
+        if not self._contract_deployed():
+            return False
+        self.handle = self.spec.requester.adopt_task(
+            self.prepared,
+            nonce=self.engine.node.nonce_of(self.prepared.account.address),
+        )
+        self.outcome.address = self.handle.address
+        return True
 
     def recover(self, exc: Exception) -> bool:
         """One reconciliation pass against the chain after a failure.
@@ -715,18 +701,13 @@ class _TaskRunner:
             if phase in SETTLED_PHASES:
                 self._finish_from_chain()
                 return True
-        if self.state == PUBLISHING and self.handle is None:
-            if self._contract_deployed():
-                self.handle = self.spec.requester.adopt_task(
-                    self.prepared,
-                    nonce=self.engine.node.nonce_of(
-                        self.prepared.account.address
-                    ),
-                )
-                self._after_publish()
-                return True
-        from repro.chain.txsender import TxAbandonedError
-
+        if (
+            self.state == PUBLISHING
+            and self.handle is None
+            and self._adopt_deployed()
+        ):
+            self._after_publish()
+            return True
         if isinstance(exc, TxAbandonedError) and self._wave:
             return self._rearm_pending()
         if (
@@ -772,7 +753,7 @@ class _TaskRunner:
                 continue
             rearmed = True
         self._pending = [p for p in self._wave if p.receipt is None]
-        if rearmed and obs.TRACER.enabled:
+        if rearmed:
             obs.count("engine.rearmed_waves")
         return rearmed
 
@@ -784,12 +765,9 @@ class _TaskRunner:
         account_nonce = 0
         if self.handle is not None:
             account_nonce = spec.requester.task_nonce(self.handle)
-        # A PROVING runner's reward job is live backend state; snapshot
-        # it as COLLECTING so the restart re-derives and re-proves.
-        state = COLLECTING if self.state == PROVING else self.state
         return TaskSnapshot(
             index=self.index,
-            state=state,
+            state=PHASES[self.state].recorded_as or self.state,
             requester_identity=spec.requester.identity,
             worker_identities=[w.identity for w in spec.workers],
             answers=[list(a) if a is not None else None for a in spec.answers],
@@ -849,15 +827,55 @@ class _TaskRunner:
             # Rebuild the submission bookkeeping deterministically; the
             # broadcast wave itself comes from the snapshot, so nonces
             # and ciphertexts match what the crashed run signed.
-            self._submissions = []
-            for worker, answer in zip(self.spec.workers, self.spec.answers):
-                if answer is None:
-                    continue
-                prepared = worker.prepare_submission(
-                    self.handle, answer, validate=False
-                )
-                self._submissions.append((worker, answer, prepared))
-            self._stage_equivocations()
+            self._stage_submissions(validate=False)
+
+
+def _settles(receipt) -> bool:
+    """Whether a ``finalize_timeout`` receipt leaves the task settled."""
+    return receipt is not None and (
+        receipt.success or "already settled" in (receipt.error or "")
+    )
+
+
+@dataclass(frozen=True)
+class Phase:
+    """How the scheduler treats one task phase (a row of :data:`PHASES`)."""
+
+    #: The runner method one scheduler round calls, or None: PROVING
+    #: waits on the engine's per-round proving queue and DONE is final.
+    step: Optional[Callable[[_TaskRunner], None]]
+    #: On the healthy path, whose completion heights
+    #: :attr:`TaskOutcome.phase_blocks` records in this order.
+    healthy: bool = False
+    #: The phase a checkpoint records it as (None: itself).  A PROVING
+    #: runner's reward job is live backend state, so a restart
+    #: re-derives and re-proves it from COLLECTING.
+    recorded_as: Optional[str] = None
+
+
+#: Every task phase, in protocol order: Algorithm 1's publish and
+#: collect, then the reward or (SETTLING, QUARANTINED) the timeout
+#: refund.  The runner's dispatch and snapshot, checkpoint validation in
+#: :meth:`ProtocolEngine.resume` and the phase-latency metrics all read
+#: this one table.
+PHASES: Dict[str, Phase] = {
+    FUNDING: Phase(_TaskRunner._step_funding, healthy=True),
+    PUBLISHING: Phase(_TaskRunner._step_publishing, healthy=True),
+    FUNDING_WORKERS: Phase(_TaskRunner._step_funding_workers, healthy=True),
+    SUBMITTING: Phase(_TaskRunner._step_submitting, healthy=True),
+    COLLECTING: Phase(_TaskRunner._step_collecting, healthy=True),
+    PROVING: Phase(None, healthy=True, recorded_as=COLLECTING),
+    REWARDING: Phase(_TaskRunner._step_rewarding, healthy=True),
+    SETTLING: Phase(_TaskRunner._step_settling),
+    QUARANTINED: Phase(_TaskRunner._step_quarantined),
+    DONE: Phase(None),
+}
+#: A completed task's ``phase_blocks`` keys, in order.
+HEALTHY_PHASES = tuple(name for name, phase in PHASES.items() if phase.healthy)
+#: The phases a checkpoint may carry.
+CHECKPOINT_PHASES = tuple(
+    name for name, phase in PHASES.items() if phase.recorded_as is None
+)
 
 
 class ProtocolEngine:
@@ -869,13 +887,10 @@ class ProtocolEngine:
         specs: Sequence[TaskSpec],
         max_rounds: int = 512,
         *,
-        retry_policy: Optional[RetryPolicy] = None,
-        breaker_threshold: int = 3,
         checkpoint_store: Optional[CheckpointStore] = None,
         checkpoint_every: int = 0,
         crash_hook: Optional[Callable[["ProtocolEngine", int], None]] = None,
         pause_above: Optional[int] = None,
-        resume_below: Optional[int] = None,
     ) -> None:
         if not specs:
             raise ProtocolError("nothing to run")
@@ -884,18 +899,12 @@ class ProtocolEngine:
         self.tx_sender = system.testnet.tx_sender
         self.max_rounds = max_rounds
         self.specs = list(specs)
-        self.retry_policy = retry_policy or RetryPolicy()
-        self.breaker_threshold = breaker_threshold
         self.checkpoint_store = checkpoint_store
         self.checkpoint_every = checkpoint_every
         self.crash_hook = crash_hook
-        if pause_above is not None and resume_below is None:
-            resume_below = max(1, pause_above // 2)
         self.pause_above = pause_above
-        self.resume_below = resume_below
         self._paused = False
         self.pauses = 0
-        self.quarantines = 0
         self.byzantine_rejections = 0
         self.byzantine_accepted = 0
         self.round = 0
@@ -921,23 +930,22 @@ class ProtocolEngine:
     def admitting(self) -> bool:
         """The backpressure gate new broadcast waves consult.
 
-        Hysteresis on the attached node's mempool depth: pause above
-        ``pause_above``, resume below ``resume_below`` — so a saturated
-        run oscillates gently instead of thrashing at one threshold.
+        Hysteresis on the attached node's mempool depth: pause at
+        ``pause_above``, resume at half of it — so a saturated run
+        oscillates gently instead of thrashing at one threshold.
         """
         if self.pause_above is None:
             return True
         depth = len(self.node.mempool)
         if self._paused:
-            if depth > self.resume_below:
+            if depth > max(1, self.pause_above // 2):
                 return False
             self._paused = False
             return True
         if depth >= self.pause_above:
             self._paused = True
             self.pauses += 1
-            if obs.TRACER.enabled:
-                obs.count("engine.backpressure_pauses")
+            obs.count("engine.backpressure_pauses")
             return False
         return True
 
@@ -1034,6 +1042,12 @@ class ProtocolEngine:
                 "checkpoint is ahead of the chain: "
                 f"height {checkpoint.head_height} > {system.testnet.height}"
             )
+        for snap in checkpoint.tasks:
+            if snap.state not in CHECKPOINT_PHASES:
+                raise CheckpointError(
+                    f"task {snap.index} is checkpointed in phase "
+                    f"{snap.state!r}, not one of {CHECKPOINT_PHASES}"
+                )
         specs: List[TaskSpec] = []
         for snap in checkpoint.tasks:
             requester = Requester(system, snap.requester_identity, register=False)
@@ -1071,8 +1085,7 @@ class ProtocolEngine:
         if checkpoint.janitor_key:
             engine._janitor = ecdsa.ECDSAKeyPair(checkpoint.janitor_key)
         engine.tx_sender.nonces.restore(checkpoint.nonce_reservations)
-        if obs.TRACER.enabled:
-            obs.count("engine.resumes")
+        obs.count("engine.resumes")
         return engine
 
     # ----- the scheduler --------------------------------------------------------------
@@ -1116,105 +1129,72 @@ class ProtocolEngine:
             )
 
     def run(self) -> EngineReport:
-        import time
-
         with obs.span("engine.run", tasks=len(self.specs)) as run_span:
-            wall_start = time.perf_counter()
-            report = self._run()
-            report.wall_seconds = time.perf_counter() - wall_start
-            run_span.set_attrs(
-                blocks=report.blocks_mined, rounds=report.rounds
-            )
-        if obs.TRACER.enabled:
-            obs.count("engine.runs")
-            obs.count("engine.tasks", len(self.specs))
-            obs.count("engine.blocks", report.blocks_mined)
-        return report
-
-    def _run(self) -> EngineReport:
-        start_height = self.testnet.height
-        start_heads = _chain_heads(self.testnet, self.node)
-        sim_start = self.testnet.clock.now
-        restore = self._restore_checkpoint
-        encryption_keys = self._pregenerate_encryption_keys()
-        self.runners = [
-            _TaskRunner(
-                spec,
-                index,
-                self,
-                encryption_keys=encryption_keys[index],
-                snapshot=restore.tasks[index] if restore is not None else None,
-            )
-            for index, spec in enumerate(self.specs)
-        ]
-        self.supervisors = [
-            TaskSupervisor(
-                runner,
-                policy=self.retry_policy,
-                breaker_threshold=self.breaker_threshold,
-            )
-            for runner in self.runners
-        ]
-        if restore is not None:
-            for supervisor, snap in zip(self.supervisors, restore.tasks):
-                supervisor.restore_failures(snap.failures)
-        rounds = 0
-        blocks = 0
-        while True:
-            if self.crash_hook is not None:
-                self.crash_hook(self, rounds)
-            with obs.span("engine.round", round=rounds):
-                for supervisor in self.supervisors:
-                    supervisor.step(rounds)
-                self._drain_proving()
-            if (
-                self.checkpoint_store is not None
-                and self.checkpoint_every
-                and rounds % self.checkpoint_every == 0
-            ):
-                self.checkpoint_store.save(self.checkpoint_bytes())
-                if obs.TRACER.enabled:
-                    obs.count("engine.checkpoints")
-            if all(runner.done for runner in self.runners):
-                break
-            if rounds >= self.max_rounds:
-                stuck = [r.index for r in self.runners if not r.done]
-                raise EngineStallError(
-                    f"tasks {stuck} still in flight after {rounds} rounds"
+            start = _RunStart(self.system)
+            restore = self._restore_checkpoint
+            encryption_keys = self._pregenerate_encryption_keys()
+            self.runners = [
+                _TaskRunner(
+                    spec,
+                    index,
+                    self,
+                    encryption_keys=encryption_keys[index],
+                    snapshot=restore.tasks[index] if restore is not None else None,
                 )
-            self.testnet.mine_block()
-            blocks += 1
-            rounds += 1
-            self.round = rounds
+                for index, spec in enumerate(self.specs)
+            ]
+            self.supervisors = [TaskSupervisor(runner) for runner in self.runners]
+            if restore is not None:
+                for supervisor, snap in zip(self.supervisors, restore.tasks):
+                    supervisor.restore_failures(snap.failures)
+            self.round = 0
+            while True:
+                if self.crash_hook is not None:
+                    self.crash_hook(self, self.round)
+                with obs.span("engine.round", round=self.round):
+                    for supervisor in self.supervisors:
+                        supervisor.step(self.round)
+                    self._drain_proving()
+                if (
+                    self.checkpoint_store is not None
+                    and self.checkpoint_every
+                    and self.round % self.checkpoint_every == 0
+                ):
+                    self.checkpoint_store.save(self.checkpoint_bytes())
+                    obs.count("engine.checkpoints")
+                if all(runner.done for runner in self.runners):
+                    break
+                if self.round >= self.max_rounds:
+                    stuck = [r.index for r in self.runners if not r.done]
+                    raise EngineStallError(
+                        f"tasks {stuck} still in flight after {self.round} rounds"
+                    )
+                self.testnet.mine_block()
+                self.round += 1
 
-        end_height = self.testnet.height
-        block_lines, transactions = _chain_segment(
-            start_heads, _chain_heads(self.testnet, self.node)
-        )
-        return EngineReport(
-            outcomes=[runner.outcome for runner in self.runners],
-            rounds=rounds,
-            blocks_mined=blocks,
-            start_height=start_height,
-            end_height=end_height,
-            transactions=transactions,
-            wall_seconds=0.0,
-            sim_seconds=self.testnet.clock.now - sim_start,
-            blocks=block_lines,
-            resilience={
-                "retries": sum(s.retries for s in self.supervisors),
-                "recoveries": sum(s.recoveries for s in self.supervisors),
-                "quarantined": sum(
-                    1 for r in self.runners if r.outcome.quarantined
-                ),
-                "pauses": self.pauses,
-                "byzantine_rejections": self.byzantine_rejections,
-                "byzantine_accepted": self.byzantine_accepted,
-                "checkpoints": (
-                    self.checkpoint_store.saves if self.checkpoint_store else 0
-                ),
-            },
-        )
+            report = start.report(
+                [runner.outcome for runner in self.runners],
+                rounds=self.round,
+                blocks_mined=self.round,  # one block per round
+                resilience={
+                    "retries": sum(s.retries for s in self.supervisors),
+                    "recoveries": sum(s.recoveries for s in self.supervisors),
+                    "quarantined": sum(
+                        1 for r in self.runners if r.outcome.quarantined
+                    ),
+                    "pauses": self.pauses,
+                    "byzantine_rejections": self.byzantine_rejections,
+                    "byzantine_accepted": self.byzantine_accepted,
+                    "checkpoints": (
+                        self.checkpoint_store.saves if self.checkpoint_store else 0
+                    ),
+                },
+            )
+            run_span.set_attrs(blocks=report.blocks_mined, rounds=report.rounds)
+        obs.count("engine.runs")
+        obs.count("engine.tasks", len(self.specs))
+        obs.count("engine.blocks", report.blocks_mined)
+        return report
 
     def _drain_proving(self) -> None:
         """Prove every job staged this round as ONE backend batch."""
@@ -1230,32 +1210,59 @@ class ProtocolEngine:
             runner.deliver_proof(proof)
 
 
-def _chain_heads(testnet, node) -> List[Tuple[Any, int]]:
+def _chain_heads(system: ZebraLancerSystem) -> List[Tuple[Any, int]]:
     """(reader node, head height) per chain.
 
     A ShardedChain's facade height is the maximum over its shards and
     its node view reads shard 0 only, so every shard is its own chain;
-    a plain testnet is read through ``node``.
+    a plain testnet is read through the system's freshest live node.
     """
-    shards = getattr(testnet, "shard_testnets", None)
+    shards = getattr(system.testnet, "shard_testnets", None)
     if shards is None:
-        return [(node, testnet.height)]
+        return [(system.node, system.testnet.height)]
     return [(shard.any_node, shard.height) for shard in shards]
 
 
-def _chain_segment(
-    start_heads: Sequence[Tuple[Any, int]], end_heads: Sequence[Tuple[Any, int]]
-) -> Tuple[List[Tuple[int, str, Tuple[str, ...]]], int]:
-    """(number, hash, tx hashes) per canonical block between two
-    :func:`_chain_heads` readings, and the transaction count."""
-    lines: List[Tuple[int, str, Tuple[str, ...]]] = []
-    transactions = 0
-    for (_, start_height), (reader, end_height) in zip(start_heads, end_heads):
-        for block in reader.canonical_blocks(start_height + 1, end_height):
-            tx_hashes = tuple(stx.tx_hash.hex() for stx in block.transactions)
-            transactions += len(tx_hashes)
-            lines.append((block.number, block.block_hash.hex(), tx_hashes))
-    return lines, transactions
+class _RunStart:
+    """Where a run started (chain, clocks); builds its :class:`EngineReport`."""
+
+    def __init__(self, system: ZebraLancerSystem) -> None:
+        self.system = system
+        self.height = system.testnet.height
+        self.heads = _chain_heads(system)
+        self.sim_time = system.testnet.clock.now
+        self.wall_time = time.perf_counter()
+
+    def report(
+        self,
+        outcomes: List[TaskOutcome],
+        rounds: int,
+        blocks_mined: int,
+        resilience: Optional[Dict[str, int]] = None,
+    ) -> EngineReport:
+        """The report up to now: every canonical block since the start."""
+        testnet = self.system.testnet
+        blocks: List[Tuple[int, str, Tuple[str, ...]]] = []
+        transactions = 0
+        for (_, start_height), (reader, end_height) in zip(
+            self.heads, _chain_heads(self.system)
+        ):
+            for block in reader.canonical_blocks(start_height + 1, end_height):
+                tx_hashes = tuple(stx.tx_hash.hex() for stx in block.transactions)
+                transactions += len(tx_hashes)
+                blocks.append((block.number, block.block_hash.hex(), tx_hashes))
+        return EngineReport(
+            outcomes=outcomes,
+            rounds=rounds,
+            blocks_mined=blocks_mined,
+            start_height=self.height,
+            end_height=testnet.height,
+            transactions=transactions,
+            wall_seconds=time.perf_counter() - self.wall_time,
+            sim_seconds=testnet.clock.now - self.sim_time,
+            blocks=blocks,
+            resilience=resilience or {},
+        )
 
 
 # ----- spec construction and the serial baseline --------------------------------------
@@ -1289,10 +1296,7 @@ def engine_system(
     byte-identical to the plain testnet).
     """
     import repro.contracts  # noqa: F401  (side effect: registers contract classes)
-    from dataclasses import replace
-
     from repro.chain.network import Testnet
-    from repro.core.protocol import DEFAULT_GAS_LIMIT
     from repro.profiles import TEST
 
     wave = max(1, num_tasks * (workers_per_task + 2))
@@ -1326,17 +1330,76 @@ def engine_system(
 
 def _register_cohort(
     system: ZebraLancerSystem,
-    requesters: List[Requester],
-    workers: List[List[Worker]],
-) -> None:
-    entries = [(r.identity, r.keys.public_key) for r in requesters]
-    for cohort in workers:
-        entries.extend((w.identity, w.keys.public_key) for w in cohort)
-    certificates = system.register_participants(entries)
-    for client, certificate in zip(
-        requesters + [w for cohort in workers for w in cohort], certificates
-    ):
+    requester_ids: Sequence[str],
+    worker_ids: Sequence[Sequence[str]],
+) -> Tuple[List[Requester], List[List[Worker]]]:
+    """Build the clients and register them all under ONE commitment update."""
+    requesters = [
+        Requester(system, identity, register=False) for identity in requester_ids
+    ]
+    workers = [
+        [Worker(system, identity, register=False) for identity in group]
+        for group in worker_ids
+    ]
+    clients = requesters + [worker for group in workers for worker in group]
+    certificates = system.register_participants(
+        [(client.identity, client.keys.public_key) for client in clients]
+    )
+    for client, certificate in zip(clients, certificates):
         client.certificate = certificate
+    return requesters, workers
+
+
+def _sampled_specs(
+    system: ZebraLancerSystem,
+    num_tasks: int,
+    workers_per_task: int,
+    *,
+    prefix: str,
+    description: str,
+    num_choices: int,
+    seed: int,
+    accuracy: float,
+    absent_probability: float = 0.0,
+    empty: Sequence[int] = (),
+    **spec_kwargs: Any,
+) -> List[TaskSpec]:
+    """Majority-vote tasks over a fresh cohort (:func:`make_uniform_specs`).
+
+    Tasks in ``empty`` get no answers at all (the zero-answer abort);
+    their ground truth is still drawn, so the rng stays in step.
+    """
+    rng = random.Random(seed)
+    requesters, workers = _register_cohort(
+        system,
+        [f"{prefix}requester-{i}" for i in range(num_tasks)],
+        [
+            [f"{prefix}worker-{i}-{j}" for j in range(workers_per_task)]
+            for i in range(num_tasks)
+        ],
+    )
+    specs: List[TaskSpec] = []
+    for i in range(num_tasks):
+        truth = rng.randrange(num_choices)
+        answers: List[Optional[Sequence[int]]] = [None] * workers_per_task
+        if i not in empty:
+            answers = [
+                sample_answer(rng, truth, num_choices, accuracy, absent_probability)
+                for _ in range(workers_per_task)
+            ]
+            if all(answer is None for answer in answers):
+                answers[0] = [truth]  # keep the task rewardable
+        specs.append(
+            TaskSpec(
+                requester=requesters[i],
+                workers=workers[i],
+                answers=answers,
+                policy=MajorityVotePolicy(num_choices=num_choices),
+                description=f"{description}-{i}",
+                **spec_kwargs,
+            )
+        )
+    return specs
 
 
 def make_uniform_specs(
@@ -1360,45 +1423,12 @@ def make_uniform_specs(
     specs, which is what the determinism tests replay.  All
     ``N·(M+1)`` identities register under one commitment update.
     """
-    import random
-
-    rng = random.Random(seed)
-    requesters = [
-        Requester(system, f"requester-{i}", register=False) for i in range(num_tasks)
-    ]
-    workers = [
-        [
-            Worker(system, f"worker-{i}-{j}", register=False)
-            for j in range(workers_per_task)
-        ]
-        for i in range(num_tasks)
-    ]
-    _register_cohort(system, requesters, workers)
-
-    from repro.core.simulation import sample_answer
-
-    specs: List[TaskSpec] = []
-    for i in range(num_tasks):
-        truth = rng.randrange(num_choices)
-        answers: List[Optional[Sequence[int]]] = [
-            sample_answer(rng, truth, num_choices, accuracy, absent_probability)
-            for _ in range(workers_per_task)
-        ]
-        if not any(answer is not None for answer in answers):
-            answers[0] = [truth]  # keep the task rewardable
-        specs.append(
-            TaskSpec(
-                requester=requesters[i],
-                workers=workers[i],
-                answers=answers,
-                policy=MajorityVotePolicy(num_choices=num_choices),
-                description=f"engine-task-{i}",
-                budget=budget,
-                rsa_bits=rsa_bits,
-                audit=audit,
-            )
-        )
-    return specs
+    return _sampled_specs(
+        system, num_tasks, workers_per_task,
+        prefix="", description="engine-task", num_choices=num_choices,
+        seed=seed, accuracy=accuracy, absent_probability=absent_probability,
+        budget=budget, rsa_bits=rsa_bits, audit=audit,
+    )
 
 
 def make_chaos_specs(
@@ -1426,61 +1456,22 @@ def make_chaos_specs(
     instruction window defaults short so quarantined tasks reach the
     even-split refund within a reasonable round budget.
     """
-    import random
-
-    rng = random.Random(seed)
-    requesters = [
-        Requester(system, f"chaos-requester-{i}", register=False)
-        for i in range(num_tasks)
-    ]
-    workers = [
-        [
-            Worker(system, f"chaos-worker-{i}-{j}", register=False)
-            for j in range(workers_per_task)
-        ]
-        for i in range(num_tasks)
-    ]
-    _register_cohort(system, requesters, workers)
-
-    from repro.core.simulation import sample_answer
-
-    specs: List[TaskSpec] = []
-    for i in range(num_tasks):
-        truth = rng.randrange(num_choices)
-        if i in empty:
-            answers: List[Optional[Sequence[int]]] = [None] * workers_per_task
-        else:
-            answers = [
-                sample_answer(rng, truth, num_choices, accuracy, 0.0)
-                for _ in range(workers_per_task)
-            ]
-            if not any(answer is not None for answer in answers):
-                answers[0] = [truth]
-        mode = REQUESTER_HONEST
+    specs = _sampled_specs(
+        system, num_tasks, workers_per_task,
+        prefix="chaos-", description="chaos-task", num_choices=num_choices,
+        seed=seed, accuracy=accuracy, empty=empty,
+        budget=budget, answer_window=answer_window,
+        instruction_window=instruction_window, rsa_bits=rsa_bits,
+    )
+    for i, spec in enumerate(specs):
         if i in stonewall:
-            mode = REQUESTER_STONEWALL
+            spec.requester_mode = REQUESTER_STONEWALL
         elif i in vanish:
-            mode = REQUESTER_VANISH
-        equivocators: List[int] = []
+            spec.requester_mode = REQUESTER_VANISH
         if i in equivocate and i not in empty:
-            equivocators = [
-                next(j for j, a in enumerate(answers) if a is not None)
+            spec.equivocators = [
+                next(j for j, a in enumerate(spec.answers) if a is not None)
             ]
-        specs.append(
-            TaskSpec(
-                requester=requesters[i],
-                workers=workers[i],
-                answers=answers,
-                policy=MajorityVotePolicy(num_choices=num_choices),
-                description=f"chaos-task-{i}",
-                budget=budget,
-                answer_window=answer_window,
-                instruction_window=instruction_window,
-                rsa_bits=rsa_bits,
-                requester_mode=mode,
-                equivocators=equivocators,
-            )
-        )
     return specs
 
 
@@ -1491,12 +1482,7 @@ def run_serial(system: ZebraLancerSystem, specs: Sequence[TaskSpec]) -> EngineRe
     blocks per transaction, proving per task) — what the throughput
     bench compares the engine against.
     """
-    import time
-
-    start_height = system.testnet.height
-    start_heads = _chain_heads(system.testnet, system.node)
-    sim_start = system.testnet.clock.now
-    wall_start = time.perf_counter()
+    start = _RunStart(system)
     outcomes: List[TaskOutcome] = []
     for index, spec in enumerate(specs):
         handle = spec.requester.publish_task(
@@ -1526,20 +1512,8 @@ def run_serial(system: ZebraLancerSystem, specs: Sequence[TaskSpec]) -> EngineRe
         if spec.audit:
             outcome.audit_passed = handle.audit_submissions()
         outcomes.append(outcome)
-    end_height = system.testnet.height
-    block_lines, transactions = _chain_segment(
-        start_heads, _chain_heads(system.testnet, system.node)
-    )
-    return EngineReport(
-        outcomes=outcomes,
-        rounds=0,
-        blocks_mined=end_height - start_height,
-        start_height=start_height,
-        end_height=end_height,
-        transactions=transactions,
-        wall_seconds=time.perf_counter() - wall_start,
-        sim_seconds=system.testnet.clock.now - sim_start,
-        blocks=block_lines,
+    return start.report(
+        outcomes, rounds=0, blocks_mined=system.testnet.height - start.height
     )
 
 
@@ -1635,21 +1609,12 @@ def make_market_specs(
     workers all answer out of range (zero policy rewards) and whose
     requester then takes the court path.
     """
-    import random as _random
-
-    rng = _random.Random(seed)
-    requesters = [
-        Requester(system, f"market-requester-{i}", register=False)
-        for i in range(num_listings)
-    ]
-    pool = [
-        Worker(system, f"market-worker-{j}", register=False)
-        for j in range(pool_size)
-    ]
-    _register_cohort(system, requesters, [pool])
-
-    from repro.core.simulation import sample_answer
-
+    rng = random.Random(seed)
+    requesters, (pool,) = _register_cohort(
+        system,
+        [f"market-requester-{i}" for i in range(num_listings)],
+        [[f"market-worker-{j}" for j in range(pool_size)]],
+    )
     specs: List[MarketSpec] = []
     for i in range(num_listings):
         truth = rng.randrange(num_choices)
@@ -1707,14 +1672,11 @@ def run_open_market(
     When no board is supplied one is deployed with windows sized to
     this wave (its attach window must outlast the engine run).
     """
-    from repro.core.anonymity import derive_one_task_account
     from repro.core.market import Arbiter, board_config, deploy_marketplace
 
     specs = list(specs)
     if not specs:
         raise ProtocolError("nothing to run on the market")
-    node = system.node
-    testnet = system.testnet
     if arbiter is None:
         arbiter = Arbiter(system)
     if board_address is None:
@@ -1742,8 +1704,6 @@ def _run_open_market(
     max_rounds: int,
     auditor_seed: bytes,
 ) -> MarketReport:
-    from repro.core.anonymity import derive_one_task_account
-
     node = system.node
     testnet = system.testnet
 

@@ -76,8 +76,8 @@ class PreparedPublish:
 class RewardJob:
     """A reward instruction awaiting its SNARK proof.
 
-    ``proving_key``/``circuit``/``instance`` are what a proving pool
-    needs; :meth:`Requester.reward_transaction` turns the resulting
+    ``proving_key``/``circuit``/``instance`` are what a ``prove_many``
+    batch needs; :meth:`Requester.reward_transaction` turns the resulting
     proof into the on-chain instruction.
     """
 
@@ -378,7 +378,7 @@ class Requester:
         """Decrypt, evaluate the policy, and stage the proving job.
 
         Everything up to (but excluding) the SNARK proof — the
-        expensive step a shared proving pool batches across tasks.
+        expensive step the engine's proving queue batches across tasks.
         """
         system = self.system
         self._record(handle)  # ownership check

@@ -34,9 +34,6 @@ from repro.chain.txsender import TxAbandonedError
 #: Errors a supervisor treats as recoverable task-local failures.
 RECOVERABLE = (TxAbandonedError, ChainError, ProtocolError)
 
-BREAKER_CLOSED = "closed"
-BREAKER_OPEN = "open"
-
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -85,23 +82,18 @@ class CircuitBreaker:
             raise ProtocolError("breaker threshold must be >= 1")
         self.threshold = threshold
         self.failures = 0
-        self.state = BREAKER_CLOSED
 
     def record_failure(self) -> bool:
         """Register one failure; True when this one opens the breaker."""
         self.failures += 1
-        if self.state == BREAKER_CLOSED and self.failures >= self.threshold:
-            self.state = BREAKER_OPEN
-            return True
-        return False
+        return self.failures == self.threshold
 
     def record_success(self) -> None:
         self.failures = 0
-        self.state = BREAKER_CLOSED
 
     @property
     def open(self) -> bool:
-        return self.state == BREAKER_OPEN
+        return self.failures >= self.threshold
 
 
 class TaskSupervisor:
@@ -129,8 +121,6 @@ class TaskSupervisor:
 
     def restore_failures(self, failures: int) -> None:
         self.breaker.failures = failures
-        if failures >= self.breaker.threshold:
-            self.breaker.state = BREAKER_OPEN
 
     def step(self, round_index: int) -> None:
         runner = self.runner
@@ -151,8 +141,7 @@ class TaskSupervisor:
     def _handle_failure(self, round_index: int, exc: Exception) -> None:
         runner = self.runner
         self.last_error = str(exc)
-        if obs.TRACER.enabled:
-            obs.count("engine.task_failures")
+        obs.count("engine.task_failures")
         # One targeted reconciliation pass before counting the failure:
         # the chain may already hold the outcome we were waiting for.
         try:
@@ -167,18 +156,15 @@ class TaskSupervisor:
         if recovered:
             self.recoveries += 1
             self.breaker.record_success()
-            if obs.TRACER.enabled:
-                obs.count("engine.recoveries")
+            obs.count("engine.recoveries")
             return
         opened = self.breaker.record_failure()
         self.retries += 1
         backoff = self.policy.delay(self.breaker.failures, self._seed)
         self.next_round = round_index + backoff
-        if obs.TRACER.enabled:
-            obs.count("engine.task_retries")
-            obs.observe(
-                "engine.retry_backoff_rounds", backoff,
-                buckets=(1, 2, 4, 8, 16, 32),
-            )
+        obs.count("engine.task_retries")
+        obs.observe(
+            "engine.retry_backoff_rounds", backoff, buckets=(1, 2, 4, 8, 16, 32)
+        )
         if opened or self.breaker.failures > self.policy.max_attempts:
             runner.quarantine(f"circuit breaker open: {self.last_error}")

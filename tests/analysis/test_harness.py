@@ -61,3 +61,28 @@ def test_fig4_groth16_single_run() -> None:
     result = run_fig4(profile="test", backend_name="groth16", runs=1)
     assert result.stats.count == 1
     assert result.stats.median > 0
+
+
+# ----- result checks survive ``python -O`` ------------------------------------
+
+
+def test_fig4_raises_when_an_attestation_does_not_verify(monkeypatch) -> None:
+    from repro.anonauth.scheme import AnonymousAuthScheme
+    from repro.errors import VerificationError
+
+    monkeypatch.setattr(AnonymousAuthScheme, "verify", lambda *args: False)
+    with pytest.raises(VerificationError, match="run 0"):
+        run_fig4(profile="test", backend_name="mock", runs=1)
+
+
+def test_trace_demo_raises_when_the_audit_fails(monkeypatch) -> None:
+    from repro import observability as obs
+    from repro.analysis.trace_report import run_demo_round
+    from repro.core.protocol import TaskHandle
+    from repro.errors import VerificationError
+
+    was_enabled = obs.enabled()
+    monkeypatch.setattr(TaskHandle, "audit_submissions", lambda self: False)
+    with pytest.raises(VerificationError, match="audit"):
+        run_demo_round()
+    assert obs.enabled() == was_enabled

@@ -196,6 +196,34 @@ def test_resume_rejects_checkpoint_from_the_future() -> None:
         ProtocolEngine.resume(fresh_system, encode_checkpoint(checkpoint))
 
 
+@pytest.mark.parametrize("phase", ["proving", "bogus-phase"])
+def test_resume_rejects_undeclared_phases(phase) -> None:
+    """A checkpoint may only carry the phases ``snapshot()`` writes.
+
+    ``proving`` is recorded as ``collecting`` and an unknown string is
+    no phase at all; resuming either would leave a runner that no
+    round ever steps, so the engine would mine ``max_rounds`` blocks
+    and stall.
+    """
+    system, specs = _fresh(2)
+    store = CheckpointStore()
+
+    def crash_hook(engine, rounds):
+        if rounds == 1:
+            raise SimulatedEngineCrash("killed at round 1")
+
+    engine = ProtocolEngine(
+        system, specs,
+        checkpoint_store=store, checkpoint_every=1, crash_hook=crash_hook,
+    )
+    with pytest.raises(SimulatedEngineCrash):
+        engine.run()
+    checkpoint = decode_checkpoint(store.latest())
+    checkpoint.tasks[1].state = phase
+    with pytest.raises(CheckpointError, match=f"task 1 .*'{phase}'"):
+        ProtocolEngine.resume(system, encode_checkpoint(checkpoint))
+
+
 def test_double_resume_is_idempotent(reference_lines) -> None:
     """Resuming, crashing again, and resuming again still converges."""
     system, specs = _fresh()

@@ -13,9 +13,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.engine import (
+    HEALTHY_PHASES,
     EngineReport,
     ProtocolEngine,
+    _TaskRunner,
     engine_system,
+    make_chaos_specs,
     make_uniform_specs,
     run_serial,
 )
@@ -89,10 +92,7 @@ def test_engine_matches_serial_rewards_and_batches_blocks() -> None:
     assert engine.blocks_mined * 4 <= serial.blocks_mined
     # Every task funded, published, collected, proved and rewarded.
     for outcome in engine.outcomes:
-        assert set(outcome.phase_blocks) == {
-            "funding", "publishing", "funding-workers", "submitting",
-            "collecting", "proving", "rewarding",
-        }
+        assert list(outcome.phase_blocks) == list(HEALTHY_PHASES)
 
 
 def test_absent_workers_close_at_deadline() -> None:
@@ -111,3 +111,51 @@ def test_absent_workers_close_at_deadline() -> None:
     )
     assert absent >= 1, "seed must produce at least one absent worker"
     assert sum(len(o.rewards) for o in report.outcomes) == present
+
+
+# ----- transcripts pinned across commits --------------------------------------
+#
+# The same-seed tests above compare two runs inside one process, so a
+# change that moves every transcript the same way still passes them.
+# These digests are literal: an engine refactor must reproduce them
+# byte for byte, under any PYTHONHASHSEED.
+
+
+def _pinned_digest(system, specs, **engine_kwargs) -> str:
+    return ProtocolEngine(system, specs, **engine_kwargs).run().transcript_digest().hex()
+
+
+def test_uniform_transcript_is_pinned() -> None:
+    system = engine_system(4, 3, seed=b"pin")
+    specs = make_uniform_specs(system, 4, 3, seed=5)
+    assert _pinned_digest(system, specs) == (
+        "7427c4be5ebb008d9e0cbb9cf9bc61b4fcfd255c134590155849d6ba97f55e3a"
+    )
+
+
+def test_chaos_transcript_is_pinned() -> None:
+    system = engine_system(4, 3, seed=b"pin-chaos")
+    specs = make_chaos_specs(
+        system, 4, 3, seed=9, stonewall=[1], empty=[2], equivocate=[3],
+        instruction_window=8,
+    )
+    assert _pinned_digest(system, specs, max_rounds=1024) == (
+        "5969ef5c5e6a7a7c24b60086bdff56810393f549516f793cb2dcf4344d5f018f"
+    )
+
+
+def test_sharded_transcript_is_pinned() -> None:
+    system = engine_system(4, 3, seed=b"pin-shard", shards=2)
+    specs = make_uniform_specs(system, 4, 3, seed=5)
+    assert _pinned_digest(system, specs) == (
+        "19c8640577cb77c156792fdd8abf9b4976ddd1bace83884b4d9d8f8a35bfdc1b"
+    )
+
+
+def test_step_rejects_an_undeclared_phase() -> None:
+    system = engine_system(1, 1, seed=b"undeclared-phase")
+    specs = make_uniform_specs(system, 1, 1, rsa_bits=512)
+    runner = _TaskRunner(specs[0], 0, ProtocolEngine(system, specs))
+    runner.state = "bogus-phase"
+    with pytest.raises(RuntimeError, match="bogus-phase"):
+        runner.step()

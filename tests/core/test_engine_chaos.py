@@ -35,9 +35,7 @@ def _chaos_engine(seed: int, num_tasks: int = 8, **engine_kwargs):
     specs = make_chaos_specs(
         system, num_tasks, 3, seed=seed, instruction_window=8, **BYZANTINE
     )
-    engine = ProtocolEngine(
-        system, specs, max_rounds=1024, breaker_threshold=3, **engine_kwargs
-    )
+    engine = ProtocolEngine(system, specs, max_rounds=1024, **engine_kwargs)
     return system, specs, engine
 
 
@@ -99,9 +97,7 @@ def test_crash_mid_chaos_still_settles_exactly_once() -> None:
     with pytest.raises(SimulatedEngineCrash):
         engine.run()
 
-    resumed = ProtocolEngine.resume(
-        system, store.latest(), max_rounds=1024, breaker_threshold=3
-    )
+    resumed = ProtocolEngine.resume(system, store.latest(), max_rounds=1024)
     report = resumed.run()
     _assert_chaos_invariants(system, specs, report)
 

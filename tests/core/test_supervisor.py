@@ -10,12 +10,7 @@ from repro.core.engine import (
     engine_system,
     make_chaos_specs,
 )
-from repro.core.supervisor import (
-    BREAKER_OPEN,
-    CircuitBreaker,
-    RetryPolicy,
-    TaskSupervisor,
-)
+from repro.core.supervisor import CircuitBreaker, RetryPolicy, TaskSupervisor
 
 from repro.core.accounting import assert_exactly_once_payouts
 
@@ -151,7 +146,7 @@ def test_supervisor_restore_failures_reopens_breaker() -> None:
     runner = _ScriptedRunner(failures=0)
     supervisor = TaskSupervisor(runner, breaker_threshold=3)
     supervisor.restore_failures(3)
-    assert supervisor.breaker.state == BREAKER_OPEN
+    assert supervisor.breaker.open
     assert supervisor.failures == 3
 
 
@@ -163,7 +158,7 @@ def test_quarantined_task_never_stalls_siblings() -> None:
     specs = make_chaos_specs(
         system, 3, 3, seed=21, stonewall=[0], instruction_window=8
     )
-    engine = ProtocolEngine(system, specs, breaker_threshold=2)
+    engine = ProtocolEngine(system, specs)
     report = engine.run()
 
     byzantine, healthy = report.outcomes[0], report.outcomes[1:]

@@ -417,6 +417,7 @@ def test_groth16_vk_bytes_mutation_fuzz(groth16_material) -> None:
 # ----- engine checkpoint codec ------------------------------------------------
 
 from repro.errors import CheckpointError
+from repro.core import engine
 from repro.core.checkpoint import (
     EngineCheckpoint,
     PendingTxSnapshot,
@@ -427,12 +428,14 @@ from repro.core.checkpoint import (
 
 #: Every state a runner can be snapshotted in (PROVING maps to
 #: collecting at snapshot time, so it is not a wire state).
-_CHECKPOINT_STATES = (
-    "funding", "publishing", "funding-workers", "submitting",
-    "collecting", "rewarding", "settling", "quarantined", "done",
+_CHECKPOINT_STATES = engine.CHECKPOINT_PHASES
+_CHECKPOINT_MODES = (
+    engine.REQUESTER_HONEST, engine.REQUESTER_STONEWALL, engine.REQUESTER_VANISH,
 )
-_CHECKPOINT_MODES = ("honest", "stonewall", "vanish")
-_CHECKPOINT_STATUSES = ("", "completed", "defaulted", "aborted", "failed")
+_CHECKPOINT_STATUSES = (
+    "", engine.STATUS_COMPLETED, engine.STATUS_DEFAULTED, engine.STATUS_ABORTED,
+    engine.STATUS_FAILED,
+)
 
 
 def _random_pending_snapshot(rng: random.Random) -> PendingTxSnapshot:
@@ -477,7 +480,7 @@ def _random_task_snapshot(rng: random.Random, state: str) -> TaskSnapshot:
         equivocators=[rng.choice(present)] if present and rng.random() < 0.3
         else [],
         task_index=rng.randrange(8),
-        address=rng.randbytes(20) if state != "funding" else b"",
+        address=rng.randbytes(20) if state != engine.FUNDING else b"",
         account_nonce=rng.randrange(8),
         phase_blocks={s: rng.randrange(64) for s in
                       _CHECKPOINT_STATES[: rng.randrange(5)]},
@@ -485,14 +488,16 @@ def _random_task_snapshot(rng: random.Random, state: str) -> TaskSnapshot:
                      _CHECKPOINT_STATES[: rng.randrange(5)]},
         rewards=[rng.randrange(1_000) for _ in range(rng.randrange(4))],
         status=rng.choice(_CHECKPOINT_STATUSES),
-        quarantined=state == "quarantined",
-        quarantine_reason="circuit breaker open" if state == "quarantined"
+        quarantined=state == engine.QUARANTINED,
+        quarantine_reason="circuit breaker open" if state == engine.QUARANTINED
         else "",
         wave=[_random_pending_snapshot(rng) for _ in range(rng.randrange(3))],
         byzantine_wave=[_random_pending_snapshot(rng)
                         for _ in range(rng.randrange(2))],
         failures=rng.randrange(5),
-        settling=state in ("settling", "quarantined") and rng.random() < 0.5,
+        settling=(
+            state in (engine.SETTLING, engine.QUARANTINED) and rng.random() < 0.5
+        ),
     )
 
 
@@ -668,13 +673,16 @@ def test_groth16_vk_bytes_reject_noncanonical_limbs(groth16_material) -> None:
             codec(mutated)
 
 
-# ----- marketplace wire formats (bid / escrow / verdict / reputation) ----------------
+# ----- framed wire codecs (marketplace, reputation, cross-shard bridge) ---------------
 #
-# All four ride the ZLCP-style checksummed frame, so ANY mutation —
-# bit flip, truncation, insertion — must surface as ValueError; a
-# mutated frame never silently decodes (the sha256 trailer would have
-# to collide).
+# All seven ride the shared checksummed frame (magic | version | payload
+# | sha256), so ANY mutation — bit flip, truncation, insertion — must
+# surface as ValueError; a mutated frame never silently decodes (the
+# sha256 trailer would have to collide), and no frame parses as a
+# sibling codec.  For the bridge codecs a frame failing open would mint
+# value out of thin air on the destination shard.
 
+from repro.chain.sharding import BeaconBlock, ShardAnchor, XShardMessage
 from repro.contracts.marketplace import Bid, DisputeVerdict, EscrowState
 from repro.core.reputation import MAX_SCORE, ReputationRecord, ReputationRegistry
 
@@ -722,95 +730,6 @@ def _random_record(rng: random.Random) -> ReputationRecord:
     )
 
 
-_MARKET_CODECS = [
-    ("bid", _random_bid, Bid.from_wire),
-    ("escrow", _random_escrow, EscrowState.from_wire),
-    ("verdict", _random_verdict, DisputeVerdict.from_wire),
-    ("reputation", _random_record, ReputationRecord.from_wire),
-]
-
-
-@pytest.mark.parametrize(
-    "sampler,parser", [(s, p) for _, s, p in _MARKET_CODECS],
-    ids=[name for name, _, _ in _MARKET_CODECS],
-)
-def test_market_wire_roundtrip_fuzz(sampler, parser) -> None:
-    rng = random.Random(0xB1D)
-    for _ in range(CASES):
-        value = sampler(rng)
-        assert parser(value.to_wire()) == value
-
-
-@pytest.mark.parametrize(
-    "sampler,parser", [(s, p) for _, s, p in _MARKET_CODECS],
-    ids=[name for name, _, _ in _MARKET_CODECS],
-)
-def test_market_wire_mutation_fuzz(sampler, parser) -> None:
-    rng = random.Random(0xD15)
-    for _ in range(CASES):
-        wire = sampler(rng).to_wire()
-        mutated = _mutate(rng, wire)
-        if mutated == wire:
-            continue
-        with pytest.raises(ValueError):
-            parser(mutated)
-
-
-def test_market_wire_rejects_truncation_prefixes() -> None:
-    """Every proper prefix of a valid frame is rejected (no partial reads)."""
-    rng = random.Random(0x7A9)
-    for sampler, parser in [
-        (_random_bid, Bid.from_wire),
-        (_random_verdict, DisputeVerdict.from_wire),
-    ]:
-        wire = sampler(rng).to_wire()
-        for cut in range(len(wire)):
-            with pytest.raises(ValueError):
-                parser(wire[:cut])
-
-
-def test_market_wire_rejects_cross_codec_frames() -> None:
-    """A frame of one type never decodes as another (magic mismatch)."""
-    rng = random.Random(0xC0DE)
-    wires = {name: sampler(rng).to_wire() for name, sampler, _ in _MARKET_CODECS}
-    for name, _, parser in _MARKET_CODECS:
-        for other, wire in wires.items():
-            if other == name:
-                continue
-            with pytest.raises(ValueError):
-                parser(wire)
-
-
-def test_reputation_registry_wire_roundtrip_and_mutation() -> None:
-    rng = random.Random(0x12E9)
-    for _ in range(CASES // 4):
-        registry = ReputationRegistry(half_life=rng.randrange(1, 512))
-        for _ in range(rng.randrange(6)):
-            record = _random_record(rng)
-            registry._records[record.tag] = record.to_storage()
-        wire = registry.to_wire()
-        rebuilt = ReputationRegistry.from_wire(wire)
-        assert rebuilt.half_life == registry.half_life
-        assert rebuilt.tags() == registry.tags()
-        assert rebuilt.to_wire() == wire
-        mutated = _mutate(rng, wire)
-        if mutated == wire:
-            continue
-        with pytest.raises(ValueError):
-            ReputationRegistry.from_wire(mutated)
-
-
-# ----- cross-shard bridge wire formats (message / anchor / beacon block) --------------
-#
-# The sharding bridge codecs ride the same checksummed frame, with the
-# extra property that a forged or bit-flipped frame failing open would
-# mint value out of thin air on the destination shard — so every
-# mutation must raise ValueError, and no frame may parse as a sibling
-# codec.
-
-from repro.chain.sharding import BeaconBlock, ShardAnchor, XShardMessage
-
-
 def _random_xshard_message(rng: random.Random) -> XShardMessage:
     shards = rng.randrange(2, 16)
     source = rng.randrange(shards)
@@ -848,30 +767,36 @@ def _random_beacon_block(rng: random.Random) -> BeaconBlock:
     )
 
 
-_XSHARD_CODECS = [
+#: (id, sampler, parser) for every framed codec (ZLBD, ZLES, ZLDV, ZLRP,
+#: ZLXM, ZLSA, ZLBB), marketplace half first; the checkpoint (ZLCP) and
+#: registry (ZLRR) codecs have their own shapes.
+_FRAMED_CODECS = [
+    ("bid", _random_bid, Bid.from_wire),
+    ("escrow", _random_escrow, EscrowState.from_wire),
+    ("verdict", _random_verdict, DisputeVerdict.from_wire),
+    ("reputation", _random_record, ReputationRecord.from_wire),
     ("xshard-message", _random_xshard_message, XShardMessage.from_wire),
     ("shard-anchor", _random_shard_anchor, ShardAnchor.from_wire),
     ("beacon-block", _random_beacon_block, BeaconBlock.from_wire),
 ]
-
-
-@pytest.mark.parametrize(
-    "sampler,parser", [(s, p) for _, s, p in _XSHARD_CODECS],
-    ids=[name for name, _, _ in _XSHARD_CODECS],
+_MARKET_CODECS, _XSHARD_CODECS = _FRAMED_CODECS[:4], _FRAMED_CODECS[4:]
+_FRAMED_PARAMS = pytest.mark.parametrize(
+    "sampler,parser", [(s, p) for _, s, p in _FRAMED_CODECS],
+    ids=[name for name, _, _ in _FRAMED_CODECS],
 )
-def test_xshard_wire_roundtrip_fuzz(sampler, parser) -> None:
-    rng = random.Random(0x5A4D)
+
+
+@_FRAMED_PARAMS
+def test_market_wire_roundtrip_fuzz(sampler, parser) -> None:
+    rng = random.Random(0xB1D)
     for _ in range(CASES):
         value = sampler(rng)
         assert parser(value.to_wire()) == value
 
 
-@pytest.mark.parametrize(
-    "sampler,parser", [(s, p) for _, s, p in _XSHARD_CODECS],
-    ids=[name for name, _, _ in _XSHARD_CODECS],
-)
-def test_xshard_wire_mutation_fuzz(sampler, parser) -> None:
-    rng = random.Random(0xF0E5)
+@_FRAMED_PARAMS
+def test_market_wire_mutation_fuzz(sampler, parser) -> None:
+    rng = random.Random(0xD15)
     for _ in range(CASES):
         wire = sampler(rng).to_wire()
         mutated = _mutate(rng, wire)
@@ -881,26 +806,59 @@ def test_xshard_wire_mutation_fuzz(sampler, parser) -> None:
             parser(mutated)
 
 
-def test_xshard_wire_rejects_truncation_prefixes() -> None:
-    rng = random.Random(0x7C21)
-    for _, sampler, parser in _XSHARD_CODECS:
+def _assert_rejects_truncation_prefixes(codecs, rng: random.Random) -> None:
+    """Every proper prefix of a valid frame is rejected (no partial reads)."""
+    for _, sampler, parser in codecs:
         wire = sampler(rng).to_wire()
         for cut in range(len(wire)):
             with pytest.raises(ValueError):
                 parser(wire[:cut])
 
 
-def test_xshard_wire_rejects_cross_codec_frames() -> None:
-    """No bridge frame parses as a sibling codec, nor as a market frame."""
-    rng = random.Random(0xAB1E)
-    wires = {name: sampler(rng).to_wire() for name, sampler, _ in _XSHARD_CODECS}
-    wires["bid"] = _random_bid(rng).to_wire()
-    for name, _, parser in _XSHARD_CODECS:
+def _assert_rejects_cross_codec_frames(codecs, rng: random.Random) -> None:
+    """No frame of any framed codec decodes as one of ``codecs``."""
+    wires = {name: sampler(rng).to_wire() for name, sampler, _ in _FRAMED_CODECS}
+    for name, _, parser in codecs:
         for other, wire in wires.items():
             if other == name:
                 continue
             with pytest.raises(ValueError):
                 parser(wire)
+
+
+def test_market_wire_rejects_truncation_prefixes() -> None:
+    _assert_rejects_truncation_prefixes(_MARKET_CODECS, random.Random(0x7A9))
+
+
+def test_xshard_wire_rejects_truncation_prefixes() -> None:
+    _assert_rejects_truncation_prefixes(_XSHARD_CODECS, random.Random(0x7C21))
+
+
+def test_market_wire_rejects_cross_codec_frames() -> None:
+    _assert_rejects_cross_codec_frames(_MARKET_CODECS, random.Random(0xC0DE))
+
+
+def test_xshard_wire_rejects_cross_codec_frames() -> None:
+    _assert_rejects_cross_codec_frames(_XSHARD_CODECS, random.Random(0xAB1E))
+
+
+def test_reputation_registry_wire_roundtrip_and_mutation() -> None:
+    rng = random.Random(0x12E9)
+    for _ in range(CASES // 4):
+        registry = ReputationRegistry(half_life=rng.randrange(1, 512))
+        for _ in range(rng.randrange(6)):
+            record = _random_record(rng)
+            registry._records[record.tag] = record.to_storage()
+        wire = registry.to_wire()
+        rebuilt = ReputationRegistry.from_wire(wire)
+        assert rebuilt.half_life == registry.half_life
+        assert rebuilt.tags() == registry.tags()
+        assert rebuilt.to_wire() == wire
+        mutated = _mutate(rng, wire)
+        if mutated == wire:
+            continue
+        with pytest.raises(ValueError):
+            ReputationRegistry.from_wire(mutated)
 
 
 def test_xshard_message_rejects_semantic_junk() -> None:
