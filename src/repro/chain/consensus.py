@@ -59,6 +59,7 @@ class PoAEngine(ConsensusEngine):
             )
         try:
             signature = ecdsa.ECDSASignature.from_bytes(header.seal)
+            ecdsa.require_low_s(signature)
             signer = ecdsa.recover_address(header.hash_without_seal(), signature)
         except Exception as exc:  # noqa: BLE001 - any failure is invalid
             obs.count("consensus.seal_rejections")

@@ -91,8 +91,9 @@ class SignedTransaction:
 
     @cached_property
     def sender(self) -> bytes:
-        """The 20-byte sender address recovered from the signature."""
+        """The 20-byte sender address recovered from a low-s signature."""
         try:
+            ecdsa.require_low_s(self.signature)
             return ecdsa.recover_address(
                 self.transaction.signing_hash(), self.signature
             )

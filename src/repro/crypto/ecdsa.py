@@ -291,7 +291,8 @@ class ECDSAKeyPair:
         k = _rfc6979_nonce(self.private_key, message_hash)
         while True:
             point = point_mul(k, GENERATOR)
-            assert point is not None
+            if point is None:
+                raise SignatureError("nonce point at infinity")
             r = point[0] % N
             s = (pow(k, -1, N) * (z + r * self.private_key)) % N
             if r == 0 or s == 0:
@@ -322,10 +323,23 @@ def verify(public_key: Tuple[int, int], message_hash: bytes, sig: ECDSASignature
     return point[0] % N == sig.r
 
 
+def require_low_s(sig: ECDSASignature) -> None:
+    """Reject the high-s form (EIP-2).
+
+    The twin (r, N − s, v ^ 1) recovers the same key as (r, s, v), so a
+    chain that hashes signatures into transaction or block ids admits
+    only the low-s form the signer emits.
+    """
+    if sig.s > N // 2:
+        raise SignatureError("high-s signature (EIP-2)")
+
+
 def recover_public_key(message_hash: bytes, sig: ECDSASignature) -> Tuple[int, int]:
     """Recover the signer's public key from a recoverable signature."""
     if not (1 <= sig.r < N and 1 <= sig.s < N):
         raise SignatureError("signature components out of range")
+    if sig.v not in (0, 1, 2, 3):
+        raise SignatureError("recovery id must be 0, 1, 2 or 3")
     x = sig.r + (N if sig.v >= 2 else 0)
     if x >= P:
         raise SignatureError("invalid recovery x-coordinate")

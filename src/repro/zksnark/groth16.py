@@ -119,6 +119,11 @@ class Groth16VerifyingKey:
             self.delta_prepared = prepare_g2(self.delta_g2)
         return self.delta_prepared
 
+    def __deepcopy__(self, memo) -> "Groth16VerifyingKey":
+        # Nothing mutates a key after setup (the prepared line tables are
+        # a deterministic cache), so state snapshots share it.
+        return self
+
     def size_bytes(self) -> int:
         """Serialized size (what Table I's "Key" column measures)."""
         return len(self.to_bytes())

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.crypto import ecdsa
 from repro.errors import InvalidBlockError
-from repro.chain.block import BlockHeader, GENESIS_PARENT
+from repro.chain.block import Block, BlockHeader, GENESIS_PARENT
 from repro.chain.consensus import PoAEngine, SimulatedPoWEngine
+from repro.chain.node import GenesisConfig, Node
 
 KEY_A = ecdsa.ECDSAKeyPair.from_seed(b"validator-a")
 KEY_B = ecdsa.ECDSAKeyPair.from_seed(b"validator-b")
@@ -58,6 +61,37 @@ def test_poa_rejects_forged_seal() -> None:
     sealed = BlockHeader(**{**header.__dict__, "seal": forged})
     with pytest.raises(InvalidBlockError):
         engine.validate_seal(sealed)
+
+
+def test_poa_rejects_high_s_twin_seal() -> None:
+    """The high-s twin of a seal has the same signer but a new block
+    hash, so only the low-s seal is valid (EIP-2)."""
+    engine = PoAEngine([KEY_A.address()])
+    header = _header(1, KEY_A.address())
+    honest = KEY_A.sign(header.hash_without_seal())
+    twin = ecdsa.ECDSASignature(r=honest.r, s=ecdsa.N - honest.s, v=honest.v ^ 1)
+    assert ecdsa.recover_address(header.hash_without_seal(), twin) == KEY_A.address()
+    resealed = BlockHeader(**{**header.__dict__, "seal": twin.to_bytes()})
+    sealed = BlockHeader(**{**header.__dict__, "seal": honest.to_bytes()})
+    assert resealed.block_hash() != sealed.block_hash()
+    engine.validate_seal(sealed)
+    with pytest.raises(InvalidBlockError, match="high-s"):
+        engine.validate_seal(resealed)
+
+
+def test_node_refuses_a_block_resealed_with_the_high_s_twin() -> None:
+    """A fresh node refuses the re-sealed twin and still takes the block."""
+    engine = PoAEngine([KEY_A.address()])
+    miner = Node("miner", GenesisConfig(), engine=engine, keypair=KEY_A, is_miner=True)
+    follower = Node("follower", GenesisConfig(), engine=engine)
+    block = miner.create_block(timestamp=1_500_000_015)
+    honest = ecdsa.ECDSASignature.from_bytes(block.header.seal)
+    twin = ecdsa.ECDSASignature(r=honest.r, s=ecdsa.N - honest.s, v=honest.v ^ 1)
+    header = dataclasses.replace(block.header, seal=twin.to_bytes())
+    with pytest.raises(InvalidBlockError, match="high-s"):
+        follower.import_block(Block(header=header, transactions=block.transactions))
+    assert follower.height == 0
+    assert follower.import_block(block)
 
 
 def test_poa_rejects_garbage_seal() -> None:

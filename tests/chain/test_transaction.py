@@ -97,3 +97,38 @@ def test_forged_signature_detected() -> None:
         assert forged.sender != KEY.address()
     except InvalidTransactionError:
         pass
+
+
+def _resigned(signed: SignedTransaction, **changes: int) -> SignedTransaction:
+    """``signed`` with some signature components replaced."""
+    sig = signed.signature
+    fields = {"r": sig.r, "s": sig.s, "v": sig.v, **changes}
+    return SignedTransaction(
+        transaction=signed.transaction, signature=ecdsa.ECDSASignature(**fields)
+    )
+
+
+def test_high_s_twin_rejected() -> None:
+    """(r, N − s, v ^ 1) recovers the same sender under a new tx hash, so
+    only the signer's low-s form is a valid transaction (EIP-2)."""
+    signed = _tx().sign(KEY)
+    sig = signed.signature
+    twin = _resigned(signed, s=ecdsa.N - sig.s, v=sig.v ^ 1)
+    digest = signed.transaction.signing_hash()
+    assert ecdsa.recover_address(digest, twin.signature) == KEY.address()
+    assert twin.tx_hash != signed.tx_hash
+    with pytest.raises(InvalidTransactionError, match="high-s"):
+        _ = twin.sender
+    assert not twin.verify_signature()
+    assert not SignedTransaction.from_wire(twin.to_wire()).verify_signature()
+
+
+def test_negative_recovery_id_rejected() -> None:
+    """v − 2 has the parity of v and used to recover the same sender
+    under a new tx hash."""
+    signed = _tx().sign(KEY)
+    twin = _resigned(signed, v=signed.signature.v - 2)
+    assert twin.tx_hash != signed.tx_hash
+    with pytest.raises(InvalidTransactionError, match="recovery id"):
+        _ = twin.sender
+    assert not SignedTransaction.from_wire(twin.to_wire()).verify_signature()

@@ -120,6 +120,31 @@ def test_recovery_id_two_rejected_for_ordinary_r(signature: ECDSASignature) -> N
         recover_public_key(HASH, bogus)
 
 
+@pytest.mark.parametrize("offset", [-2, -4, -256])
+def test_negative_recovery_id_rejected(
+    signature: ECDSASignature, offset: int
+) -> None:
+    """Recovery reads ``v >= 2`` and ``v & 1``, so a negative v with the
+    signer's parity would recover the signer under a new transaction
+    hash; only v in {0, 1, 2, 3} is a recovery id."""
+    bogus = ECDSASignature(r=signature.r, s=signature.s, v=signature.v + offset)
+    with pytest.raises(SignatureError, match="recovery id"):
+        recover_public_key(HASH, bogus)
+
+
+def test_require_low_s_rejects_only_the_high_s_twin(
+    keypair: ECDSAKeyPair, signature: ECDSASignature
+) -> None:
+    """The primitive still recovers the signer from the honest high-s
+    twin; ``require_low_s`` is the EIP-2 gate the chain puts in front."""
+    twin = ECDSASignature(r=signature.r, s=N - signature.s, v=signature.v ^ 1)
+    assert recover_address(HASH, twin) == keypair.address()
+    ecdsa.require_low_s(signature)
+    ecdsa.require_low_s(ECDSASignature(r=signature.r, s=N // 2, v=0))
+    with pytest.raises(SignatureError, match="high-s"):
+        ecdsa.require_low_s(twin)
+
+
 def test_off_curve_public_key_rejected(signature: ECDSASignature) -> None:
     assert verify((1, 1), HASH, signature) is False
 

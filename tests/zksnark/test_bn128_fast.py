@@ -15,6 +15,7 @@ import pytest
 
 from repro.zksnark.bn128 import (
     CURVE_ORDER,
+    FIELD_MODULUS,
     FQ2,
     G1,
     G2,
@@ -40,6 +41,9 @@ from repro.zksnark.bn128.curve import (
 )
 from repro.zksnark.bn128.fq12 import FQ12
 from repro.zksnark.bn128.pairing import (
+    _HARD_EXPONENT,
+    _Exponent,
+    _hard_part,
     final_exponentiate,
     final_exponentiate_naive,
     miller_loop,
@@ -155,9 +159,35 @@ def test_prepared_miller_matches_naive() -> None:
     assert miller_loop(q_point, p_point) == miller_loop_naive(q_point, p_point)
 
 
-def test_final_exponentiation_decomposition_matches_naive() -> None:
-    value = miller_loop_naive(G2, G1)
+@pytest.mark.parametrize(
+    "case", ["miller", "one", "random-0", "random-1", "random-2", "random-3"]
+)
+def test_final_exponentiation_decomposition_matches_naive(case: str) -> None:
+    """The u-chain hard part agrees with the monolithic exponent on any
+    nonzero input, not only on Miller-loop outputs."""
+    if case == "miller":
+        value = miller_loop_naive(G2, G1)
+    elif case == "one":
+        value = FQ12.one()
+    else:
+        rng = random.Random(1600 + int(case.split("-")[1]))
+        value = FQ12([rng.randrange(1, FIELD_MODULUS) for _ in range(12)])
     assert final_exponentiate(value) == final_exponentiate_naive(value)
+
+
+def test_u_chain_exponent_is_the_hard_exponent() -> None:
+    """Run on exponents instead of FQ12 values, the hard part's u-chain
+    raises to exactly (q^4 − q^2 + 1)/r, which is also Scott et al.'s
+    λ₀ + λ₁q + λ₂q² + λ₃q³ in the BN parameter u."""
+    q, u = FIELD_MODULUS, 4965661367192848881
+    hard = (q**4 - q**2 + 1) // CURVE_ORDER
+    assert _HARD_EXPONENT == hard
+    assert _hard_part(_Exponent(1)).value == hard
+    lam0 = -36 * u**3 - 30 * u**2 - 18 * u - 2
+    lam1 = -36 * u**3 - 18 * u**2 - 12 * u + 1
+    lam2 = 6 * u**2 + 1
+    assert lam0 + lam1 * q + lam2 * q**2 + q**3 == hard
+    assert hard.bit_length() == 761
 
 
 def test_pairing_fast_matches_naive() -> None:

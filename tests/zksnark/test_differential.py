@@ -33,6 +33,7 @@ from repro.zksnark.bn128.curve import (
     g2_mul,
 )
 from repro.zksnark.bn128.fq import CURVE_ORDER
+from repro.zksnark.bn128.fq12 import FQ12
 from repro.zksnark.bn128.glv import GLVParams
 from repro.zksnark.bn128.pairing import (
     multi_pairing,
@@ -130,17 +131,48 @@ def test_pairing_matches_naive(case: int) -> None:
     assert pairing(q, p) == pairing_naive(q, p)
 
 
-@pytest.mark.parametrize("case", range(3))
-def test_multi_pairing_matches_naive(case: int) -> None:
-    rng = random.Random(4000 + case)
-    pairs = [
+def _random_pairs(seed: int, count: int):
+    rng = random.Random(seed)
+    return [
         (
             g2_mul(G2, rng.randrange(1, 2**32)),
             g1_mul(G1, rng.randrange(1, 2**64)),
         )
-        for _ in range(case + 2)
+        for _ in range(count)
     ]
-    assert multi_pairing(pairs) == multi_pairing_naive(pairs)
+
+
+def _multi_pairing_case(case: str):
+    """(raw pairs for both paths, indices the fast path gets prepared)."""
+    if case.isdigit():
+        return _random_pairs(4000 + int(case), int(case) + 2), ()
+    pairs = _random_pairs(4200, 3)
+    if case == "single":
+        return pairs[:1], ()
+    if case == "mixed-prepared":
+        return pairs, (0, 2)
+    if case == "none-g1":
+        return [pairs[0], (pairs[1][0], None), pairs[2]], (1, 2)
+    if case == "none-g2":
+        return [pairs[0], (None, pairs[1][1]), pairs[2]], (0, 1)
+    return [], ()
+
+
+@pytest.mark.parametrize(
+    "case", ["0", "1", "2", "single", "mixed-prepared", "none-g1", "none-g2", "empty"]
+)
+def test_multi_pairing_matches_naive(case: str) -> None:
+    """The shared Miller loop on raw pairs, a single pair, G2Prepared
+    mixed with raw G2 points, a point at infinity on either side, and
+    the empty product."""
+    pairs, prepared = _multi_pairing_case(case)
+    fast_pairs = [
+        (prepare_g2(q) if i in prepared else q, p) for i, (q, p) in enumerate(pairs)
+    ]
+    expected = multi_pairing_naive(pairs)
+    assert multi_pairing(fast_pairs) == expected
+    if case == "empty":
+        assert expected == FQ12.one()
 
 
 def test_multi_pairing_accepts_prepared_points() -> None:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
+from repro.chain.state import WorldState
 from repro.errors import ProofError, UnsatisfiedConstraintError
 from repro.zksnark import CircuitDefinition, ConstraintSystem, Groth16Backend, Proof
 
@@ -138,3 +141,20 @@ def test_backend_tag_enforced(backend, cube_keys) -> None:
     alien = Proof(backend="mock", payload=proof.payload)
     with pytest.raises(ProofError):
         backend.verify(cube_keys.verifying_key, [35], alien)
+
+
+def test_state_snapshots_share_the_verifying_key(backend, cube_keys) -> None:
+    """deepcopy, and so every state snapshot, shares a verifying key
+    instead of copying it; the rest of the stored state stays isolated."""
+    vk = cube_keys.verifying_key
+    assert copy.deepcopy(vk) is vk
+    state = WorldState()
+    address = b"\x0c" * 20
+    state.account(address).storage.update(vk=vk, answers=[1, 2])
+    snapshot = state.snapshot()
+    stored = snapshot.account(address).storage
+    stored["answers"].append(3)
+    assert stored["vk"] is vk
+    assert state.account(address).storage["answers"] == [1, 2]
+    proof = backend.prove(cube_keys.proving_key, CubeCircuit(), {"x": 3, "out": 35})
+    assert backend.verify(stored["vk"], [35], proof)
