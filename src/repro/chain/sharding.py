@@ -368,10 +368,9 @@ class ShardInbox(Contract):
 
         # 1. The anchor must be signed by the beacon authority.
         try:
-            signer = ecdsa.recover_address(
-                anchor.signing_digest(),
-                ecdsa.ECDSASignature.from_bytes(bytes(anchor_signature)),
-            )
+            signature = ecdsa.ECDSASignature.from_bytes(bytes(anchor_signature))
+            ecdsa.require_low_s(signature)
+            signer = ecdsa.recover_address(anchor.signing_digest(), signature)
         except (SignatureError, ValueError, TypeError):
             signer = None
         self.require(signer == self.storage["beacon"], "anchor not signed by the beacon")
@@ -537,10 +536,9 @@ class BeaconLightClient:
             if anchor.shard != shard:
                 raise ChainError("anchor order does not match shard order")
             try:
-                signer = ecdsa.recover_address(
-                    anchor.signing_digest(),
-                    ecdsa.ECDSASignature.from_bytes(signature),
-                )
+                parsed = ecdsa.ECDSASignature.from_bytes(signature)
+                ecdsa.require_low_s(parsed)
+                signer = ecdsa.recover_address(anchor.signing_digest(), parsed)
             except (SignatureError, ValueError):
                 raise ChainError("unrecoverable anchor signature") from None
             if signer != self.beacon_address:

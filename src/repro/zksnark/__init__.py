@@ -7,7 +7,8 @@ preprocessing SNARK implemented from first principles:
 - :mod:`repro.zksnark.field` — prime-field arithmetic (BN128 scalar field).
 - :mod:`repro.zksnark.r1cs` / :mod:`repro.zksnark.circuit` — rank-1
   constraint systems and a gadget-friendly builder DSL.
-- :mod:`repro.zksnark.qap` — R1CS → quadratic arithmetic program.
+- :mod:`repro.zksnark.polynomial` / :mod:`repro.zksnark.qap` — R1CS →
+  quadratic arithmetic program over a radix-2 root-of-unity domain.
 - :mod:`repro.zksnark.bn128` — the BN128 pairing group (FQ/FQ2/FQ12
   tower, optimal-ate pairing) used by Ethereum's SNARK precompiles.
 - :mod:`repro.zksnark.groth16` — trusted setup, prover, verifier.

@@ -11,6 +11,10 @@ Performance layer (all pure Python, no extra dependencies):
 
 - setup's thousands of generator multiplications go through windowed
   fixed-base tables (:func:`g1_generator_table`);
+- the QAP lives on a radix-2 root-of-unity domain of N ≥ n points, so
+  setup evaluates it at τ from the closed-form Lagrange basis and the
+  prover's quotient H is seven NTTs (:mod:`repro.zksnark.qap`); the H
+  query holds N − 1 powers of τ;
 - the prover's five inner products run as Pippenger MSMs (G1 and G2);
 - the verifier pairs against *prepared* γ/δ (precomputed Miller-loop
   line coefficients) and uses the decomposed final exponentiation;

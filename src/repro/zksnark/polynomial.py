@@ -1,12 +1,23 @@
-"""Dense univariate polynomial arithmetic over a prime field.
+"""Radix-2 evaluation domains: the QAP's polynomial layer.
 
-Coefficients are plain ints (low index = constant term).  The QAP layer
-relies on interpolation, multiplication and exact division by the
-vanishing polynomial.  No FFT is used, but multiplication switches to
-Karatsuba above a small threshold and the vanishing polynomial is built
-as a balanced product tree, which together keep the prover's polynomial
-work subquadratic for the circuit sizes this reproduction targets (see
-DESIGN.md).
+A :class:`Radix2Domain` of size N (a power of two) is the group of N-th
+roots of unity {ω⁰, …, ω^(N−1)} in a prime field.  On it the three
+things the QAP needs are cheap:
+
+- evaluation and interpolation are number-theoretic transforms
+  (Cooley–Tukey, O(N log N)), and so are the same transforms on the
+  coset g·{ωʲ}, where g is a quadratic non-residue outside the domain;
+- the vanishing polynomial is Z(x) = x^N − 1, so on the coset it is
+  the constant g^N − 1 and dividing by Z is one scalar multiplication
+  per point;
+- the Lagrange basis has the closed form
+  Lᵢ(τ) = ωⁱ(τ^N − 1) / (N(τ − ωⁱ)), all N values for one batch
+  inversion.
+
+Polynomials are lists of plain ints (low index = constant term) and
+evaluation vectors are indexed by j for the point ωʲ.  This is the
+domain libsnark gives the Groth16/BCTV14 prover; BN254's scalar field
+has 2-adicity 28, so it holds domains up to 2²⁸ points.
 """
 
 from __future__ import annotations
@@ -16,250 +27,116 @@ from typing import List, Sequence
 from repro.zksnark.field import PrimeField
 
 
-def trim(coeffs: Sequence[int]) -> List[int]:
-    """Drop trailing zero coefficients (canonical representation)."""
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+class Radix2Domain:
+    """The smallest power-of-two root-of-unity domain with ``min_size`` points.
 
-
-def poly_add(field: PrimeField, a: Sequence[int], b: Sequence[int]) -> List[int]:
-    p = field.modulus
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return trim(out)
-
-
-def poly_sub(field: PrimeField, a: Sequence[int], b: Sequence[int]) -> List[int]:
-    p = field.modulus
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return trim(out)
-
-
-def poly_scale(field: PrimeField, a: Sequence[int], k: int) -> List[int]:
-    p = field.modulus
-    return trim([(c * k) % p for c in a])
-
-
-#: Below this size schoolbook multiplication beats Karatsuba's overhead.
-_KARATSUBA_THRESHOLD = 32
-
-
-def _mul_schoolbook(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
-def _mul_karatsuba(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Unreduced product over the integers, O(n^1.585).
-
-    Working with raw ints and reducing once at the end is safe: python
-    ints are arbitrary precision, and the single final ``% p`` pass is
-    cheaper than reducing at every level.
+    Raises :class:`ValueError` when the field has no root of unity of
+    that order, or no coset of the domain.
     """
-    n = min(len(a), len(b))
-    if n <= _KARATSUBA_THRESHOLD:
-        return _mul_schoolbook(a, b)
-    half = (max(len(a), len(b)) + 1) // 2
-    a_lo, a_hi = a[:half], a[half:]
-    b_lo, b_hi = b[:half], b[half:]
-    lo = _mul_karatsuba(a_lo, b_lo) if a_lo and b_lo else []
-    hi = _mul_karatsuba(a_hi, b_hi) if a_hi and b_hi else []
-    a_sum = [x + y for x, y in zip(a_lo, a_hi)] + list(
-        a_lo[len(a_hi):] or a_hi[len(a_lo):]
-    )
-    b_sum = [x + y for x, y in zip(b_lo, b_hi)] + list(
-        b_lo[len(b_hi):] or b_hi[len(b_lo):]
-    )
-    mid = _mul_karatsuba(a_sum, b_sum) if a_sum and b_sum else []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(lo):
-        out[i] += c
-    for i, c in enumerate(hi):
-        out[i + 2 * half] += c
-    # (mid - lo - hi) = a_lo·b_hi + a_hi·b_lo lands at the half offset.
-    # Combine before placing: mid's top coefficients cancel against
-    # lo/hi and may individually exceed the output degree.
-    width = max(len(mid), len(lo), len(hi))
-    diff = list(mid) + [0] * (width - len(mid))
-    for i, c in enumerate(lo):
-        diff[i] -= c
-    for i, c in enumerate(hi):
-        diff[i] -= c
-    for i, c in enumerate(diff):
-        if c:
-            out[i + half] += c
-    return out
 
-
-def poly_mul(field: PrimeField, a: Sequence[int], b: Sequence[int]) -> List[int]:
-    if not a or not b:
-        return []
-    p = field.modulus
-    if min(len(a), len(b)) <= _KARATSUBA_THRESHOLD:
-        out = _mul_schoolbook(a, b)
-    else:
-        out = _mul_karatsuba(list(a), list(b))
-    return trim([c % p for c in out])
-
-
-def poly_eval(field: PrimeField, coeffs: Sequence[int], x: int) -> int:
-    """Horner evaluation of the polynomial at ``x``."""
-    p = field.modulus
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def poly_divmod(
-    field: PrimeField, numerator: Sequence[int], denominator: Sequence[int]
-) -> tuple[List[int], List[int]]:
-    """Polynomial long division; returns (quotient, remainder)."""
-    den = trim(denominator)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    p = field.modulus
-    num = [c % p for c in trim(numerator)]
-    quot = [0] * max(0, len(num) - len(den) + 1)
-    inv_lead = field.inv(den[-1])
-    while len(num) >= len(den):
-        shift = len(num) - len(den)
-        factor = (num[-1] * inv_lead) % p
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] = (num[shift + i] - factor * c) % p
-        num = trim(num)
-        if not num:
-            break
-    return trim(quot), num
-
-
-def vanishing_polynomial(field: PrimeField, points: Sequence[int]) -> List[int]:
-    """Z(x) = prod_j (x - points[j]).
-
-    Built as a balanced product tree so the big multiplications at the
-    top of the tree run through Karatsuba, instead of the O(n^2) cost of
-    multiplying one linear factor at a time.
-    """
-    p = field.modulus
-    if not points:
-        return [1]
-    leaves: List[List[int]] = [[(-pt) % p, 1] for pt in points]
-    while len(leaves) > 1:
-        paired = [
-            poly_mul(field, leaves[i], leaves[i + 1])
-            for i in range(0, len(leaves) - 1, 2)
-        ]
-        if len(leaves) % 2:
-            paired.append(leaves[-1])
-        leaves = paired
-    return leaves[0]
-
-
-#: Domain-keyed cache of normalized Lagrange basis rows.  The QAP
-#: prover interpolates three vectors per proof over the SAME fixed
-#: domain [1..n]; rebuilding Z(x) and running n synthetic divisions on
-#: every call dominated prove time (~42% in profile), while the rows
-#: themselves only depend on (modulus, points).
-_INTERP_CACHE: dict = {}
-_INTERP_CACHE_MAX = 8
-
-
-def _interpolation_rows(field: PrimeField, points: Sequence[int]) -> List[List[int]]:
-    """Rows ``basis_j(x) / Z'(x_j)`` for every x_j, cached per domain."""
-    key = (field.modulus, tuple(points))
-    rows = _INTERP_CACHE.get(key)
-    if rows is None:
+    def __init__(self, field: PrimeField, min_size: int) -> None:
+        if min_size < 1:
+            raise ValueError("a domain needs at least one point")
         p = field.modulus
-        z = vanishing_polynomial(field, points)
-        rows = []
-        for xj in points:
-            # basis_j = Z(x) / (x - x_j), computed by synthetic division.
-            basis = _divide_by_linear(field, z, xj)
-            inv_denom = field.inv(poly_eval(field, basis, xj))  # 1 / Z'(x_j)
-            rows.append([c * inv_denom % p for c in basis])
-        if len(_INTERP_CACHE) >= _INTERP_CACHE_MAX:
-            _INTERP_CACHE.pop(next(iter(_INTERP_CACHE)))
-        _INTERP_CACHE[key] = rows
-    return rows
+        size = 1 << (min_size - 1).bit_length()
+        two_adicity = ((p - 1) & -(p - 1)).bit_length() - 1
+        if size > 1 << two_adicity:
+            raise ValueError(
+                f"{field.name} has no 2^{size.bit_length() - 1}-th root of unity "
+                f"(2-adicity {two_adicity}); {min_size} points need one"
+            )
+        shift = 2
+        while pow(shift, (p - 1) // 2, p) != p - 1:
+            shift += 1
+        if pow(shift, size, p) == 1:
+            raise ValueError(f"{field.name} has no coset of a {size}-point domain")
+        omega = pow(shift, (p - 1) // size, p)
+        self.field = field
+        self.size = size
+        self.shift = shift
+        #: ω⁰ … ω^(N−1): the domain points, in transform order.
+        self.elements: List[int] = _powers(omega, size, p)
+        self._inverse_elements = [1] + self.elements[:0:-1]
+        self._size_inv = pow(size, -1, p)
+        self._shift_powers = _powers(shift, size, p)
+        self._shift_inverse_powers = _powers(pow(shift, -1, p), size, p)
+
+    def vanishing_at(self, x: int) -> int:
+        """Z(x) = x^N − 1."""
+        p = self.field.modulus
+        return (pow(x, self.size, p) - 1) % p
+
+    def lagrange_at(self, tau: int) -> List[int]:
+        """[L₀(τ), …, L_(N−1)(τ)] from the closed form, one inversion in all."""
+        p = self.field.modulus
+        tau %= p
+        z = self.vanishing_at(tau)
+        if z == 0:  # τ is a domain point: Lᵢ(τ) is 1 at τ = ωⁱ and 0 elsewhere
+            return [int(tau == w) for w in self.elements]
+        scale = z * self._size_inv % p
+        inverses = _batch_inverse([(tau - w) % p for w in self.elements], p)
+        return [w * inv % p * scale % p for w, inv in zip(self.elements, inverses)]
+
+    def ntt(self, coeffs: Sequence[int]) -> List[int]:
+        """Evaluations at every ωʲ of a polynomial of degree < N."""
+        return _ntt(self._padded(coeffs), self.elements, self.field.modulus)
+
+    def intt(self, evals: Sequence[int]) -> List[int]:
+        """The N coefficients of the polynomial taking ``evals[j]`` at ωʲ
+        (missing trailing evaluations are zero)."""
+        p = self.field.modulus
+        raw = _ntt(self._padded(evals), self._inverse_elements, p)
+        return [v * self._size_inv % p for v in raw]
+
+    def coset_ntt(self, coeffs: Sequence[int]) -> List[int]:
+        """Evaluations at every g·ωʲ."""
+        p = self.field.modulus
+        return self.ntt([c * s % p for c, s in zip(coeffs, self._shift_powers)])
+
+    def coset_intt(self, evals: Sequence[int]) -> List[int]:
+        """The N coefficients of the polynomial taking ``evals[j]`` at g·ωʲ."""
+        p = self.field.modulus
+        return [c * s % p for c, s in zip(self.intt(evals), self._shift_inverse_powers)]
+
+    def _padded(self, values: Sequence[int]) -> List[int]:
+        if len(values) > self.size:
+            raise ValueError(f"{len(values)} values do not fit a {self.size}-point domain")
+        return list(values) + [0] * (self.size - len(values))
 
 
-def lagrange_interpolate(
-    field: PrimeField, points: Sequence[int], values: Sequence[int]
-) -> List[int]:
-    """Interpolate the unique degree-<n polynomial through (points, values).
-
-    Uses the barycentric-ish construction: build Z(x), then each basis
-    polynomial is Z(x)/(x - x_j) scaled by 1/Z'(x_j).  O(n^2) total,
-    with the normalized basis rows cached per domain and the row
-    combination accumulated as raw ints (one ``% p`` pass at the end).
-    """
-    if len(points) != len(values):
-        raise ValueError("points/values length mismatch")
-    if len(set(points)) != len(points):
-        raise ValueError("interpolation points must be distinct")
-    p = field.modulus
-    n = len(points)
-    if n == 0:
-        return []
-    rows = _interpolation_rows(field, points)
-    result = [0] * n
-    for j in range(n):
-        v = values[j] % p
-        if v == 0:
-            continue
-        row = rows[j]
-        for i in range(n):
-            result[i] += v * row[i]
-    return trim([c % p for c in result])
-
-
-def _divide_by_linear(field: PrimeField, coeffs: Sequence[int], root: int) -> List[int]:
-    """Exact synthetic division of ``coeffs`` by (x - root)."""
-    p = field.modulus
-    out = [0] * (len(coeffs) - 1)
-    carry = 0
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = (coeffs[i] + carry * root) % p
-        out[i - 1] = carry
+def _powers(base: int, count: int, p: int) -> List[int]:
+    out = [1] * count
+    for i in range(1, count):
+        out[i] = out[i - 1] * base % p
     return out
 
 
-def lagrange_basis_at(
-    field: PrimeField, points: Sequence[int], x: int
-) -> List[int]:
-    """Evaluate every Lagrange basis polynomial L_j at a single point x.
-
-    Returns [L_0(x), ..., L_{n-1}(x)] in O(n^2); used by the trusted
-    setup to evaluate the QAP column polynomials at the toxic tau.
-    """
-    p = field.modulus
-    n = len(points)
-    out = []
-    for j in range(n):
-        num = 1
-        den = 1
-        xj = points[j]
-        for k in range(n):
-            if k == j:
-                continue
-            num = (num * (x - points[k])) % p
-            den = (den * (xj - points[k])) % p
-        out.append((num * field.inv(den)) % p)
+def _batch_inverse(values: Sequence[int], p: int) -> List[int]:
+    """Montgomery's trick: every inverse for one field inversion."""
+    prefix = [0] * len(values)
+    acc = 1
+    for i, v in enumerate(values):
+        prefix[i] = acc
+        acc = acc * v % p
+    inv = pow(acc, -1, p)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = prefix[i] * inv % p
+        inv = inv * values[i] % p
     return out
+
+
+def _ntt(values: List[int], roots: List[int], p: int) -> List[int]:
+    """Radix-2 decimation-in-time transform: out[j] = Σ values[k]·roots[j·k].
+
+    ``roots`` lists the powers of a primitive len(values)-th root of
+    unity; each half-size sub-transform takes every other one.
+    """
+    if len(values) == 1:
+        return [values[0] % p]
+    if len(values) == 2:
+        return [(values[0] + values[1]) % p, (values[0] - values[1]) % p]
+    half = roots[::2]
+    even = _ntt(values[::2], half, p)
+    odd = [o * w % p for o, w in zip(_ntt(values[1::2], half, p), roots)]
+    return [(e + o) % p for e, o in zip(even, odd)] + [(e - o) % p for e, o in zip(even, odd)]

@@ -429,9 +429,14 @@ def test_forged_message_amount_is_rejected() -> None:
     assert_shard_conservation(chain)
 
 
+def _high_s_twin(signature: bytes) -> bytes:
+    honest = ecdsa.ECDSASignature.from_bytes(signature)
+    return ecdsa.ECDSASignature(r=honest.r, s=ecdsa.N - honest.s, v=honest.v ^ 1).to_bytes()
+
+
 def test_forged_anchor_signature_is_rejected() -> None:
     chain = ShardedChain(shards=2, miners=1, full_nodes=1)
-    message, anchor, _, proof, recipient_key, _ = _delivered_send(chain)
+    message, anchor, signature, proof, recipient_key, _ = _delivered_send(chain)
     impostor = Beacon(ecdsa.ECDSAKeyPair.from_seed(b"not-the-beacon"), 2)
     fresh = XShardMessage(
         source_shard=message.source_shard,
@@ -449,6 +454,13 @@ def test_forged_anchor_signature_is_rejected() -> None:
         impostor.sign_anchor(anchor),
         proof,
         fresh.to_wire(),
+    )
+    assert not receipt.success
+    assert "beacon" in receipt.error
+    # The high-s twin of the beacon's own signature recovers the beacon
+    # too; only the low-s form is accepted.
+    receipt = _deliver_as_attacker(
+        chain, message.dest_shard, anchor, _high_s_twin(signature), proof, fresh.to_wire()
     )
     assert not receipt.success
     assert "beacon" in receipt.error
@@ -588,6 +600,19 @@ def test_beacon_light_client_rejects_forks_and_forgeries() -> None:
     )
     with pytest.raises(ChainError):
         client.import_beacon_block(forged_next.to_wire())
+    # The high-s twin of a real anchor signature names the same signer
+    # under a new beacon hash: a fork of the honest round.
+    (wire, signature), *rest = blocks[1].anchors
+    twin_next = type(blocks[1])(
+        number=1,
+        parent=blocks[0].beacon_hash,
+        anchors=((wire, _high_s_twin(signature)), *rest),
+    )
+    assert twin_next.beacon_hash != blocks[1].beacon_hash
+    with pytest.raises(ChainError, match="unrecoverable anchor signature"):
+        client.import_beacon_block(twin_next.to_wire())
+    client.import_beacon_block(blocks[1].to_wire())
+    assert client.height == 2
 
 
 # ----- chaos interaction --------------------------------------------------------------

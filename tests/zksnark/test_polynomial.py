@@ -1,140 +1,182 @@
-"""Dense polynomial arithmetic over FR."""
+"""Radix-2 evaluation domains over FR: transforms, basis, vanishing polynomial.
+
+Every check compares against Horner evaluation at the domain's points,
+which shares no code with the transforms.
+"""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.zksnark import polynomial as poly
-from repro.zksnark.field import FR
+from repro.zksnark.field import FR, PrimeField
+from repro.zksnark.polynomial import Radix2Domain
 
-coeff_lists = st.lists(
-    st.integers(min_value=0, max_value=FR.modulus - 1), min_size=0, max_size=8
-)
+P = FR.modulus
+DOMAINS = {1 << k: Radix2Domain(FR, 1 << k) for k in range(10)}  # sizes 1..512
 
-
-@given(coeff_lists, coeff_lists)
-def test_add_commutes(a, b) -> None:
-    assert poly.poly_add(FR, a, b) == poly.poly_add(FR, b, a)
+values_lists = st.lists(st.integers(min_value=0, max_value=P - 1), min_size=1, max_size=64)
 
 
-@given(coeff_lists, coeff_lists)
+def _horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % P
+    return acc
+
+
+def _domain_for(count: int) -> Radix2Domain:
+    size = 1
+    while size < count:
+        size *= 2
+    return DOMAINS[size]
+
+
+def _padded(values, size):
+    return list(values) + [0] * (size - len(values))
+
+
+@pytest.mark.parametrize("size", sorted(DOMAINS))
+def test_domain_is_the_group_of_nth_roots_of_unity(size) -> None:
+    domain = DOMAINS[size]
+    assert domain.size == size
+    assert len(set(domain.elements)) == size
+    assert all(pow(w, size, P) == 1 for w in domain.elements)
+    assert domain.elements[0] == 1
+    if size > 1:
+        assert pow(domain.elements[1], size // 2, P) == P - 1  # primitive
+    assert pow(domain.shift, size, P) != 1  # the coset is disjoint
+
+
+def test_domain_size_is_the_next_power_of_two() -> None:
+    for count in range(1, 513):
+        assert Radix2Domain(FR, count).size == _domain_for(count).size
+
+
+@pytest.mark.parametrize("size", sorted(DOMAINS))
+def test_ntt_matches_horner_at_every_point(size) -> None:
+    domain = DOMAINS[size]
+    rng = random.Random(size)
+    coeffs = [rng.randrange(P) for _ in range(size)]
+    assert domain.ntt(coeffs) == [_horner(coeffs, w) for w in domain.elements]
+
+
+def test_ntt_matches_horner_for_every_length_up_to_512() -> None:
+    """n coefficients, padded into the 2^⌈log n⌉ domain, for n = 1..512."""
+    rng = random.Random(7)
+    for count in range(1, 513):
+        domain = _domain_for(count)
+        coeffs = [rng.randrange(P) for _ in range(count)]
+        evals = domain.ntt(coeffs)
+        assert len(evals) == domain.size
+        for j in {0, 1 % domain.size, count - 1, domain.size - 1, rng.randrange(domain.size)}:
+            assert evals[j] == _horner(coeffs, domain.elements[j]), (count, j)
+
+
+@given(values_lists)
 @settings(max_examples=50)
-def test_mul_matches_evaluation(a, b) -> None:
-    product = poly.poly_mul(FR, a, b)
-    for x in (0, 1, 2, 12345):
-        expected = poly.poly_eval(FR, a, x) * poly.poly_eval(FR, b, x) % FR.modulus
-        assert poly.poly_eval(FR, product, x) == expected
+def test_intt_roundtrip(values) -> None:
+    domain = _domain_for(len(values))
+    padded = _padded(values, domain.size)
+    assert domain.ntt(domain.intt(values)) == padded
+    assert domain.intt(domain.ntt(values)) == padded
 
 
-@given(coeff_lists, coeff_lists)
+@given(values_lists)
 @settings(max_examples=50)
-def test_divmod_invariant(a, b) -> None:
-    if not poly.trim(b):
-        return
-    quotient, remainder = poly.poly_divmod(FR, a, b)
-    recombined = poly.poly_add(FR, poly.poly_mul(FR, quotient, b), remainder)
-    assert recombined == poly.trim(a)
-    assert len(remainder) < len(poly.trim(b)) or not remainder
+def test_coset_roundtrip(values) -> None:
+    domain = _domain_for(len(values))
+    padded = _padded(values, domain.size)
+    assert domain.coset_intt(domain.coset_ntt(values)) == padded
+    assert domain.coset_ntt(domain.coset_intt(values)) == padded
 
 
-def test_divmod_by_zero_raises() -> None:
-    with pytest.raises(ZeroDivisionError):
-        poly.poly_divmod(FR, [1, 2], [0])
-
-
-def test_vanishing_polynomial_roots() -> None:
-    points = [1, 2, 3, 4]
-    z = poly.vanishing_polynomial(FR, points)
-    assert len(z) == 5
-    for point in points:
-        assert poly.poly_eval(FR, z, point) == 0
-    assert poly.poly_eval(FR, z, 5) != 0
+def test_coset_ntt_matches_horner_on_the_coset() -> None:
+    domain = DOMAINS[16]
+    coeffs = [random.Random(16).randrange(P) for _ in range(16)]
+    coset = [domain.shift * w % P for w in domain.elements]
+    assert not set(coset) & set(domain.elements)
+    assert domain.coset_ntt(coeffs) == [_horner(coeffs, x) for x in coset]
 
 
 def test_lagrange_interpolation_exact() -> None:
-    points = [1, 2, 3, 5]
+    domain = DOMAINS[4]
     values = [10, 20, 99, 7]
-    interpolated = poly.lagrange_interpolate(FR, points, values)
-    assert len(interpolated) <= 4
-    for point, value in zip(points, values):
-        assert poly.poly_eval(FR, interpolated, point) == value
+    interpolated = domain.intt(values)
+    assert len(interpolated) == 4
+    for point, value in zip(domain.elements, values):
+        assert _horner(interpolated, point) == value
 
 
-@given(st.lists(st.integers(min_value=0, max_value=FR.modulus - 1),
-                min_size=1, max_size=6, unique=True))
+@given(values_lists)
 @settings(max_examples=30)
 def test_lagrange_roundtrip(values) -> None:
-    points = list(range(1, len(values) + 1))
-    interpolated = poly.lagrange_interpolate(FR, points, values)
-    for point, value in zip(points, values):
-        assert poly.poly_eval(FR, interpolated, point) == value
+    domain = _domain_for(len(values))
+    interpolated = domain.intt(values)
+    for point, value in zip(domain.elements, _padded(values, domain.size)):
+        assert _horner(interpolated, point) == value
 
 
-def test_lagrange_duplicate_points_rejected() -> None:
-    with pytest.raises(ValueError):
-        poly.lagrange_interpolate(FR, [1, 1], [2, 3])
-
-
-def test_lagrange_basis_at_matches_interpolation() -> None:
-    points = [1, 2, 3]
-    x = 777
-    basis = poly.lagrange_basis_at(FR, points, x)
-    # Σ v_j L_j(x) must equal interpolate(v)(x).
-    values = [5, 9, 13]
-    direct = sum(v * l for v, l in zip(values, basis)) % FR.modulus
-    interpolated = poly.lagrange_interpolate(FR, points, values)
-    assert direct == poly.poly_eval(FR, interpolated, x)
+@given(st.integers(min_value=0, max_value=P - 1), st.sampled_from(sorted(DOMAINS)))
+@settings(max_examples=30)
+def test_lagrange_basis_at_matches_interpolation(x, size) -> None:
+    """Σ v_j L_j(x) == interpolate(v)(x), at a random x."""
+    domain = DOMAINS[size]
+    values = [random.Random(x).randrange(P) for _ in range(size)]
+    direct = sum(v * l for v, l in zip(values, domain.lagrange_at(x))) % P
+    assert direct == _horner(domain.intt(values), x)
 
 
 def test_basis_partition_of_unity() -> None:
-    points = [1, 2, 3, 4, 5]
-    basis = poly.lagrange_basis_at(FR, points, 424242)
-    assert sum(basis) % FR.modulus == 1
+    for domain in DOMAINS.values():
+        assert sum(domain.lagrange_at(424242)) % P == 1
+        # At a domain point the basis is the indicator of that point.
+        point = domain.elements[-1]
+        assert domain.lagrange_at(point) == [int(w == point) for w in domain.elements]
 
 
-def test_trim() -> None:
-    assert poly.trim([1, 2, 0, 0]) == [1, 2]
-    assert poly.trim([0, 0]) == []
+def test_vanishing_polynomial_roots() -> None:
+    domain = DOMAINS[8]
+    for point in domain.elements:
+        assert domain.vanishing_at(point) == 0
+    x = 5
+    product = 1
+    for point in domain.elements:
+        product = product * (x - point) % P
+    assert domain.vanishing_at(x) == product != 0
+    # Constant g^N − 1 on the coset, which the quotient divides by.
+    assert domain.vanishing_at(domain.shift) == (pow(domain.shift, 8, P) - 1) % P != 0
 
 
-def _schoolbook_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return poly.trim([c % FR.modulus for c in out])
+@given(values_lists, values_lists)
+@settings(max_examples=30)
+def test_mul_matches_evaluation(a, b) -> None:
+    """The pointwise product on the coset interpolates to a·b when
+    deg a + deg b < N, which is how the prover forms A·B."""
+    domain = _domain_for(len(a) + len(b) - 1)
+    product = domain.coset_intt(
+        [x * y % P for x, y in zip(domain.coset_ntt(a), domain.coset_ntt(b))]
+    )
+    for x in (0, 1, 2, 12345):
+        assert _horner(product, x) == _horner(a, x) * _horner(b, x) % P
 
 
-@given(
-    st.lists(st.integers(min_value=0, max_value=FR.modulus - 1), max_size=80),
-    st.lists(st.integers(min_value=0, max_value=FR.modulus - 1), max_size=80),
-)
-@settings(max_examples=60, deadline=None)
-def test_karatsuba_matches_schoolbook(a, b) -> None:
-    assert poly.poly_mul(FR, a, b) == _schoolbook_mul(a, b)
+def test_domain_without_a_large_enough_root_of_unity_rejected() -> None:
+    with pytest.raises(ValueError, match="2-adicity 28"):
+        Radix2Domain(FR, (1 << 28) + 1)
+    small = PrimeField(13, name="GF(13)")  # 13 − 1 = 4·3
+    assert Radix2Domain(small, 4).size == 4
+    with pytest.raises(ValueError, match="root of unity"):
+        Radix2Domain(small, 5)
+    # In GF(17) the 16-point domain is the whole multiplicative group.
+    with pytest.raises(ValueError, match="coset"):
+        Radix2Domain(PrimeField(17), 16)
+    with pytest.raises(ValueError):
+        Radix2Domain(FR, 0)
 
 
-def test_karatsuba_above_threshold_unbalanced_shapes() -> None:
-    import random
-
-    rng = random.Random(11)
-    for la, lb in [(65, 33), (200, 40), (40, 200), (128, 128), (129, 127)]:
-        a = [rng.randrange(FR.modulus) for _ in range(la)]
-        b = [rng.randrange(FR.modulus) for _ in range(lb)]
-        assert poly.poly_mul(FR, a, b) == _schoolbook_mul(a, b)
-
-
-def test_vanishing_product_tree_has_all_roots() -> None:
-    import random
-
-    rng = random.Random(12)
-    points = [rng.randrange(FR.modulus) for _ in range(37)]
-    z = poly.vanishing_polynomial(FR, points)
-    assert len(z) == len(points) + 1  # monic, degree n
-    assert z[-1] == 1
-    for point in points:
-        assert poly.poly_eval(FR, z, point) == 0
-    assert poly.vanishing_polynomial(FR, []) == [1]
+def test_values_longer_than_the_domain_rejected() -> None:
+    with pytest.raises(ValueError):
+        DOMAINS[4].ntt([1, 2, 3, 4, 5])
