@@ -349,7 +349,6 @@ class Testnet:
         initial_faucet_balance: int = 10**30,
         engine: Optional[ConsensusEngine] = None,
         fault_plan: Optional[FaultPlan] = None,
-        execution_lanes: int = 1,
         mempool_capacity: Optional[int] = None,
         faucet_seed: bytes = b"testnet-faucet",
         extra_allocations: Optional[Dict[bytes, int]] = None,
@@ -389,7 +388,6 @@ class Testnet:
                     engine=self.engine,
                     keypair=key,
                     is_miner=True,
-                    execution_lanes=execution_lanes,
                     mempool_capacity=mempool_capacity,
                 )
             )
@@ -401,7 +399,6 @@ class Testnet:
                     name=f"full-{i}",
                     genesis=genesis,
                     engine=self.engine,
-                    execution_lanes=execution_lanes,
                     mempool_capacity=mempool_capacity,
                 )
             )

@@ -16,8 +16,9 @@ dropping them.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import observability as obs
 from repro.crypto import ecdsa
@@ -28,7 +29,6 @@ from repro.chain.contract import BlockContext
 from repro.chain.gas import DEFAULT_SCHEDULE, GasSchedule
 from repro.chain.journal import ChainJournal
 from repro.chain.mempool import Mempool
-from repro.chain.parallel import execute_block
 from repro.chain.receipts import EMPTY_RECEIPTS_ROOT, Receipt, receipts_root
 from repro.chain.state import WorldState
 from repro.chain.transaction import SignedTransaction
@@ -78,6 +78,38 @@ class GenesisConfig:
         return Block(header=header, transactions=())
 
 
+def execute_block(
+    vm: VM,
+    state: WorldState,
+    transactions: Sequence[SignedTransaction],
+    block_ctx: BlockContext,
+    mode: str,
+) -> Tuple[List[SignedTransaction], List[Receipt], float]:
+    """Execute a block's transactions in order against ``state``, mutating it.
+
+    ``mode="verify"`` (importers) raises
+    :class:`~repro.errors.InvalidTransactionError` on an invalid
+    transaction; ``mode="build"`` (miners) silently drops it.  Returns
+    the included transactions, their receipts and the wall seconds the
+    execution loop took.
+    """
+    if mode not in ("verify", "build"):
+        raise ValueError(f"unknown execution mode {mode!r}")
+    included: List[SignedTransaction] = []
+    receipts: List[Receipt] = []
+    started = time.perf_counter()
+    for stx in transactions:
+        try:
+            receipt = vm.execute_transaction(state, stx, block_ctx)
+        except InvalidTransactionError:
+            if mode == "verify":
+                raise
+            continue
+        receipts.append(receipt)
+        included.append(stx)
+    return included, receipts, time.perf_counter() - started
+
+
 class Node:
     """One network participant (miner or plain full node)."""
 
@@ -89,16 +121,12 @@ class Node:
         keypair: Optional[ecdsa.ECDSAKeyPair] = None,
         is_miner: bool = False,
         schedule: GasSchedule = DEFAULT_SCHEDULE,
-        execution_lanes: int = 1,
         mempool_capacity: Optional[int] = None,
     ) -> None:
         self.name = name
         self.genesis = genesis
         self.keypair = keypair or ecdsa.ECDSAKeyPair.from_seed(name.encode())
         self.is_miner = is_miner
-        #: Optimistic-concurrency knob: speculative lanes per block
-        #: (1 = serial).
-        self.execution_lanes = max(1, execution_lanes)
         self.engine = engine or PoAEngine([self.keypair.address()])
         self.vm = VM(schedule=schedule, chain_id=genesis.chain_id)
         self.mempool = Mempool(capacity=mempool_capacity)
@@ -107,9 +135,9 @@ class Node:
         #: Counters for recovery tests: accepted imports / import calls.
         self.blocks_imported = 0
         self.import_attempts = 0
-        #: Execution stats of the last block this node built (the shard
-        #: throughput bench reads critical-path timings from here).
-        self.last_build_stats = None
+        #: Wall seconds the last block this node built spent executing
+        #: its transactions (the shard throughput bench sums these).
+        self.last_build_seconds = 0.0
         self._reset_in_memory_state()
 
     def _reset_in_memory_state(self) -> None:
@@ -234,13 +262,10 @@ class Node:
             selected = self.mempool.select_for_block(
                 self.genesis.gas_limit, state=self.head_state
             )
-            execution = execute_block(
-                self.vm, state, selected, block_ctx,
-                lanes=self.execution_lanes, mode="build",
+            included, receipts, self.last_build_seconds = execute_block(
+                self.vm, state, selected, block_ctx, "build"
             )
-            included = execution.included
-            gas_used = execution.gas_used
-            self.last_build_stats = execution.stats
+            gas_used = sum(receipt.gas_used for receipt in receipts)
             header = BlockHeader(
                 number=parent.number + 1,
                 parent_hash=parent.block_hash,
@@ -248,18 +273,14 @@ class Node:
                 miner=self.address,
                 state_root=state.state_root(),
                 tx_root=transactions_root(included),
-                receipts_root=receipts_root(execution.receipts),
+                receipts_root=receipts_root(receipts),
                 gas_used=gas_used,
                 gas_limit=self.genesis.gas_limit,
             )
             seal = self.engine.seal(header, self.keypair)
             sealed = BlockHeader(**{**header.__dict__, "seal": seal})
             block = Block(header=sealed, transactions=tuple(included))
-            mine_span.set_attrs(
-                txs=len(included), gas_used=gas_used,
-                lanes=execution.stats.lanes,
-                reexecutions=execution.stats.reexecutions,
-            )
+            mine_span.set_attrs(txs=len(included), gas_used=gas_used)
             self.import_block(block)
         return block
 
@@ -299,14 +320,12 @@ class Node:
             coinbase=block.header.miner,
         )
         try:
-            execution = execute_block(
-                self.vm, state, list(block.transactions), block_ctx,
-                lanes=self.execution_lanes, mode="verify",
+            _, receipts, _ = execute_block(
+                self.vm, state, block.transactions, block_ctx, "verify"
             )
         except InvalidTransactionError as exc:
             raise InvalidBlockError(f"invalid transaction in block: {exc}") from exc
-        receipts = execution.receipts
-        if execution.gas_used != block.header.gas_used:
+        if sum(receipt.gas_used for receipt in receipts) != block.header.gas_used:
             raise InvalidBlockError("gas-used mismatch after re-execution")
         if state.state_root() != block.header.state_root:
             raise InvalidBlockError("state root mismatch after re-execution")

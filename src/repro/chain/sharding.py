@@ -1,21 +1,20 @@
 """Static chain sharding by task-contract address, with cross-shard
 reward settlement.
 
-The chain-level scaling step the ROADMAP sketches after optimistic
-parallel execution: a *shard* is a lane whose assignment is static and
-whose conflicts are cross-shard messages.  :class:`ShardedChain` runs S
-independent :class:`~repro.chain.network.Testnet` sub-chains (each with
-its own miners, mempool, faucet and per-shard parallel block
-production), statically routes every transaction to the home shard of
-the contract it touches, and settles value *between* shards through a
-burn-and-mint bridge:
+A *shard* is an independent sub-chain that owns a static slice of the
+contract address space; value crosses shards only as messages.
+:class:`ShardedChain` runs S independent
+:class:`~repro.chain.network.Testnet` sub-chains (each with its own
+miners, mempool, faucet and serial block production), statically
+routes every transaction to the home shard of the contract it touches,
+and settles value *between* shards through a burn-and-mint bridge:
 
 - **Outbox** (source shard): ``ShardOutbox.send(dest, recipient)``
   escrow-burns the attached value, assigns the next per-channel
   sequence number and emits an ``XShardSend`` log carrying the full
   :class:`XShardMessage` wire.  The log lands in a receipt, which lands
   under the block's ``receipts_root`` — the existing light-client
-  commitment (PR 6) is the bridge's proof substrate.
+  commitment is the bridge's proof substrate.
 - **Beacon**: after every round the beacon authority signs a
   :class:`ShardAnchor` per shard head (block hash + receipts root +
   state root) and chains them into :class:`BeaconBlock` s — the single
@@ -718,7 +717,6 @@ class ShardedChain:
         gas_limit: int = 30_000_000,
         initial_faucet_balance: int = 10**30,
         fault_plan: Optional[object] = None,
-        execution_lanes: int = 1,
         mempool_capacity: Optional[int] = None,
     ) -> None:
         if shards < 1:
@@ -752,7 +750,6 @@ class ShardedChain:
                     gas_limit=gas_limit,
                     initial_faucet_balance=initial_faucet_balance,
                     fault_plan=plans[k],
-                    execution_lanes=execution_lanes,
                     mempool_capacity=mempool_capacity,
                     faucet_seed=faucet_seed,
                     extra_allocations=extra,

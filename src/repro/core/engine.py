@@ -1273,7 +1273,6 @@ def engine_system(
     workers_per_task: int,
     backend_name: str = "mock",
     seed: bytes = b"engine-system",
-    execution_lanes: int = 1,
     fault_plan=None,
     mempool_capacity: Optional[int] = None,
     shards: Optional[int] = None,
@@ -1302,7 +1301,6 @@ def engine_system(
     wave = max(1, num_tasks * (workers_per_task + 2))
     chain_kwargs: Dict[str, Any] = dict(
         gas_limit=max(30_000_000, wave * DEFAULT_GAS_LIMIT),
-        execution_lanes=execution_lanes,
         fault_plan=fault_plan,
         mempool_capacity=mempool_capacity,
     )

@@ -7,11 +7,13 @@ import dataclasses
 import pytest
 
 from repro.crypto import ecdsa
-from repro.errors import InvalidBlockError
+from repro.errors import InvalidBlockError, InvalidTransactionError
 from repro.chain.block import Block, BlockHeader
 from repro.chain.consensus import PoAEngine
-from repro.chain.node import GenesisConfig, Node
+from repro.chain.contract import BlockContext
+from repro.chain.node import GenesisConfig, Node, execute_block
 from repro.chain.transaction import Transaction
+from repro.chain.vm import VM
 
 MINER_KEY = ecdsa.ECDSAKeyPair.from_seed(b"node-miner")
 USER = ecdsa.ECDSAKeyPair.from_seed(b"node-user")
@@ -92,6 +94,34 @@ def test_import_rejects_tampered_transactions(miner, follower) -> None:
     block = miner.create_block(timestamp=1_500_000_015)
     with pytest.raises(InvalidBlockError):
         follower.import_block(Block(header=block.header, transactions=()))
+
+
+def test_tampered_receipts_root_rejected(miner, follower) -> None:
+    """An importer recomputes the receipts root and rejects a block
+    whose header (validly re-sealed) lies about it."""
+    miner.submit_transaction(_transfer(0).sign(USER))
+    miner.submit_transaction(_transfer(1).sign(USER))
+    block = miner.create_block(timestamp=1_500_000_015)
+    header = dataclasses.replace(block.header, receipts_root=b"\xee" * 32, seal=b"")
+    header = dataclasses.replace(header, seal=miner.engine.seal(header, MINER_KEY))
+    with pytest.raises(InvalidBlockError, match="receipts root"):
+        follower.import_block(Block(header=header, transactions=block.transactions))
+
+
+def test_build_mode_drops_invalid_verify_mode_raises(genesis) -> None:
+    vm = VM()
+    ctx = BlockContext(number=1, timestamp=1_500_000_015, coinbase=MINER_KEY.address())
+    valid = _transfer(0).sign(USER)
+    invalid = _transfer(5).sign(USER)  # nonce gap after ``valid``
+    included, receipts, _ = execute_block(
+        vm, genesis.build_state(), [valid, invalid], ctx, "build"
+    )
+    assert [stx.tx_hash for stx in included] == [valid.tx_hash]
+    assert [receipt.tx_hash for receipt in receipts] == [valid.tx_hash]
+    with pytest.raises(InvalidTransactionError):
+        execute_block(vm, genesis.build_state(), [valid, invalid], ctx, "verify")
+    with pytest.raises(ValueError, match="unknown execution mode"):
+        execute_block(vm, genesis.build_state(), [valid], ctx, "replay")
 
 
 def test_import_rejects_backwards_timestamp(miner, follower) -> None:

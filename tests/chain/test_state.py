@@ -62,16 +62,6 @@ def test_snapshot_isolation() -> None:
     assert snapshot.account(A).storage["k"] == [1, 2]
 
 
-def test_restore_rolls_back() -> None:
-    state = WorldState()
-    state.credit(A, 100)
-    snapshot = state.snapshot()
-    state.transfer(A, B, 99)
-    state.restore(snapshot)
-    assert state.balance_of(A) == 100
-    assert state.balance_of(B) == 0
-
-
 def test_state_root_tracks_content() -> None:
     s1 = WorldState()
     s2 = WorldState()
@@ -156,24 +146,3 @@ def test_close_without_open_frame_rejected() -> None:
         state.commit_transaction()
     with pytest.raises(ChainError):
         state.rollback_transaction()
-
-
-def test_frame_access_sets_track_reads_and_writes() -> None:
-    state = WorldState()
-    state.credit(A, 5)
-    frame = state.begin_transaction()
-    state.balance_of(A)
-    state.credit(B, 1)
-    assert A in frame.access.reads
-    assert A not in frame.access.writes
-    assert B in frame.access.writes
-    state.commit_transaction(frame)
-
-
-def test_committed_inner_frame_access_merges_into_outer() -> None:
-    state = WorldState()
-    outer = state.begin_transaction()
-    inner = state.begin_transaction()
-    state.credit(A, 1)
-    state.commit_transaction(inner)
-    assert A in outer.access.writes

@@ -27,13 +27,8 @@ N_TASKS = 8
 WORKERS = 3
 
 
-def _engine_run(
-    system_seed: bytes, spec_seed: int, execution_lanes: int = 1
-) -> EngineReport:
-    system = engine_system(
-        N_TASKS, WORKERS, backend_name="mock", seed=system_seed,
-        execution_lanes=execution_lanes,
-    )
+def _engine_run(system_seed: bytes, spec_seed: int) -> EngineReport:
+    system = engine_system(N_TASKS, WORKERS, backend_name="mock", seed=system_seed)
     specs = make_uniform_specs(system, N_TASKS, WORKERS, seed=spec_seed)
     return ProtocolEngine(system, specs).run()
 
@@ -52,17 +47,6 @@ def test_same_seed_runs_are_bit_identical() -> None:
         o.phase_blocks for o in second.outcomes
     ]
     assert first.transactions == second.transactions
-
-
-def test_lane_count_does_not_leak_into_transcripts() -> None:
-    """Parallel execution is a node-local implementation detail: the
-    same seeds with 4 optimistic lanes must produce the same blocks,
-    receipts and rewards, bit for bit, as the serial scheduler."""
-    serial = _engine_run(b"determinism", 11, execution_lanes=1)
-    parallel = _engine_run(b"determinism", 11, execution_lanes=4)
-    assert serial.transcript() == parallel.transcript()
-    assert serial.transcript_digest() == parallel.transcript_digest()
-    assert serial.blocks == parallel.blocks
 
 
 def test_different_seeds_change_the_transcript() -> None:
