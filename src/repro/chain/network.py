@@ -484,25 +484,15 @@ class Testnet:
         )
 
     def fund(
-        self,
-        address: bytes,
-        amount: int,
-        mine: bool = True,
-        near: Optional[bytes] = None,
+        self, address: bytes, amount: int, near: Optional[bytes] = None
     ) -> None:
-        """Faucet-transfer ``amount`` to ``address`` (mining one block).
+        """Faucet-transfer ``amount`` to ``address`` and mine until it lands.
 
         ``near`` is a co-location hint consumed by the sharded facade
         (fund the account on the shard owning ``near``); a single-chain
         testnet has one shard, so it is accepted and ignored here.
         """
-        del near
-        tx = self._faucet_tx(address, amount)
-        if mine:
-            # Resilient path: confirmed even if the first broadcast drops.
-            self.tx_sender.send(tx, self.faucet_key)
-        else:
-            self.send_transaction(tx.sign(self.faucet_key))
+        self.tx_sender.confirm_all([self.fund_async(address, amount, near)])
 
     def fund_async(self, address: bytes, amount: int, near: Optional[bytes] = None):
         """Broadcast a faucet transfer without mining (batched funding).

@@ -936,21 +936,9 @@ class ShardedChain:
         return self._residence.setdefault(address, self.shard_of(address))
 
     def fund(
-        self,
-        address: bytes,
-        amount: int,
-        mine: bool = True,
-        near: Optional[bytes] = None,
+        self, address: bytes, amount: int, near: Optional[bytes] = None
     ) -> None:
-        if self.num_shards == 1:
-            return self.shard_testnets[0].fund(address, amount, mine=mine)
-        shard = self._fund_target(address, near)
-        tx = self._faucet_tx(shard, address, amount)
-        key = self.shard_testnets[shard].faucet_key
-        if mine:
-            self.tx_sender.send(tx, key)
-        else:
-            self.send_transaction(tx.sign(key))
+        self.tx_sender.confirm_all([self.fund_async(address, amount, near)])
 
     def fund_async(
         self, address: bytes, amount: int, near: Optional[bytes] = None
@@ -963,15 +951,11 @@ class ShardedChain:
             self.shard_testnets[shard].faucet_key,
         )
 
-    def fund_system(self, address: bytes, amount: int, mine: bool = True) -> None:
+    def fund_system(self, address: bytes, amount: int) -> None:
         """Fund ``address`` on EVERY shard and mark it replicated: all
         its future transactions broadcast to all shards in lockstep
         (the RA's registry updates, the janitor's timeouts)."""
-        if self.num_shards == 1:
-            return self.shard_testnets[0].fund(address, amount, mine=mine)
-        pendings = self.fund_all_async(address, amount)
-        if mine:
-            self.tx_sender.confirm_all(pendings)
+        self.tx_sender.confirm_all(self.fund_all_async(address, amount))
 
     def fund_all_async(self, address: bytes, amount: int) -> List[PendingTx]:
         if self.num_shards == 1:
@@ -1077,9 +1061,8 @@ class ShardedChain:
                     remaining.append(pending)
             except TxAbandonedError:
                 # The relayer never shares nonces, so abandonment means
-                # exhausted attempts under faults: reset and keep trying.
-                pending.attempts = 1
-                pending.broadcast_height = shard.height
+                # exhausted attempts under faults: re-send on a fresh lease.
+                shard.tx_sender.rearm(pending)
                 remaining.append(pending)
         return remaining
 
@@ -1150,6 +1133,3 @@ class ShardedChain:
             chain_id=self.genesis.chain_id,
         )
 
-
-#: Back-compat alias: the facade is a drop-in Testnet.
-ShardedTestnet = ShardedChain

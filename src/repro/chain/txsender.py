@@ -2,13 +2,19 @@
 
 A lossy fabric can drop a broadcast before any miner sees it, so
 "submit once and pray" loses transactions.  :class:`TxSender` is the
-client discipline that survives it: broadcast, wait for a receipt with
-a block-count timeout, and on timeout re-check the sender's on-chain
-nonce before retrying with a gas-price bump.  Retries are idempotent by
-construction — every attempt reuses the original nonce, so the chain
-can include at most one of them; a consumed nonce with none of our
-hashes on-chain means a different transaction superseded ours, which is
-reported rather than retried forever.
+client discipline that survives it, written once as one state machine:
+:meth:`~TxSender.broadcast` gossips a transaction and tracks it as a
+:class:`PendingTx`; :meth:`~TxSender.service` confirms it, or — once
+its block-count timeout passes and the sender's on-chain nonce shows it
+has not landed — re-sends it, with a gas-price bump when it holds the
+signing key; and :meth:`~TxSender.confirm_all` mines until every
+pending is confirmed.
+The synchronous :meth:`~TxSender.send` is ``confirm_all`` over one
+``broadcast``.  Retries are idempotent by construction — every attempt
+reuses the original nonce, so the chain can include at most one of
+them; a consumed nonce with none of our hashes on-chain means a
+different transaction superseded ours, which is reported rather than
+retried forever.
 """
 
 from __future__ import annotations
@@ -22,6 +28,9 @@ from repro.crypto.hashing import sha256
 from repro.errors import ChainError
 from repro.chain.receipts import Receipt
 from repro.chain.transaction import SignedTransaction, Transaction
+
+#: Fee raise per keyed retry, in percent (clamped to what the sender can afford).
+GAS_BUMP_PERCENT = 25
 
 
 class TxAbandonedError(ChainError):
@@ -51,16 +60,6 @@ class NonceManager:
         self._reserved[sender] = nonce + 1
         return nonce
 
-    def next_nonce(self, sender: bytes) -> int:
-        """Peek at the nonce :meth:`reserve` would hand out."""
-        return max(
-            self.testnet.any_node.nonce_of(sender), self._reserved.get(sender, 0)
-        )
-
-    def forget(self, sender: bytes) -> None:
-        """Drop local reservations (e.g. after an abandoned send)."""
-        self._reserved.pop(sender, None)
-
     def snapshot(self) -> Dict[bytes, int]:
         """The reservation table, for engine checkpoints."""
         return dict(self._reserved)
@@ -77,6 +76,9 @@ class PendingTx:
     All retry attempts share the original nonce, so ``tx_hashes``
     accumulates every signed variant (gas bumps change the hash) and a
     receipt for *any* of them confirms the logical transaction.
+    ``signed`` is the last variant gossiped: a keyless pending (no
+    ``keypair``, e.g. an externally signed transaction) retries by
+    re-sending exactly those bytes.
     """
 
     transaction: Transaction
@@ -86,21 +88,7 @@ class PendingTx:
     broadcast_height: int = 0
     attempts: int = 1
     receipt: Optional[Receipt] = None
-
-    @property
-    def confirmed(self) -> bool:
-        return self.receipt is not None
-
-
-@dataclass
-class SendReport:
-    """What happened while confirming one logical transaction."""
-
-    receipt: Optional[Receipt] = None
-    attempts: int = 0
-    blocks_waited: int = 0
-    final_gas_price: int = 0
-    tx_hashes: List[bytes] = field(default_factory=list)
+    signed: Optional[SignedTransaction] = None
 
 
 class TxSender:
@@ -112,9 +100,11 @@ class TxSender:
     ``jitter_blocks`` drawn from a hash of (sender, nonce, attempt) —
     exponential backoff keeps a congested chain from being hammered by
     retries, the seeded jitter de-synchronizes concurrent senders
-    without sacrificing replay determinism.  ``gas_bump_percent`` raises
-    the fee on each retry (clamped so the sender can still afford
-    ``value + gas_price * gas_limit``).
+    without sacrificing replay determinism.  A keyed retry raises the
+    fee by :data:`GAS_BUMP_PERCENT` (clamped so the sender can still
+    afford ``value + gas_price * gas_limit``); a keyless one re-sends
+    its signed bytes unchanged.  After ``max_attempts`` the transaction
+    is abandoned with :class:`TxAbandonedError`.
     """
 
     def __init__(
@@ -122,7 +112,6 @@ class TxSender:
         testnet,
         timeout_blocks: int = 8,
         max_attempts: int = 4,
-        gas_bump_percent: int = 25,
         max_retry_interval: Optional[int] = None,
         jitter_blocks: int = 1,
     ) -> None:
@@ -133,7 +122,6 @@ class TxSender:
         self.testnet = testnet
         self.timeout_blocks = timeout_blocks
         self.max_attempts = max_attempts
-        self.gas_bump_percent = gas_bump_percent
         self.max_retry_interval = (
             max_retry_interval
             if max_retry_interval is not None
@@ -167,7 +155,7 @@ class TxSender:
         )
         return base + draw % (self.jitter_blocks + 1)
 
-    # ----- asynchronous API (concurrent senders) -----------------------------------
+    # ----- the state machine -------------------------------------------------------
 
     def broadcast(
         self, tx: Transaction, keypair: ecdsa.ECDSAKeyPair
@@ -178,19 +166,7 @@ class TxSender:
         its own cadence and drives :meth:`service` to confirm or retry
         every in-flight transaction of a whole wave at once.
         """
-        stx = tx.sign(keypair)
-        pending = PendingTx(
-            transaction=tx,
-            keypair=keypair,
-            sender=stx.sender,
-            tx_hashes=[stx.tx_hash],
-            broadcast_height=self.testnet.height,
-        )
-        self.total_attempts += 1
-        self.testnet.send_transaction(stx)
-        if obs.TRACER.enabled:
-            obs.count("txsender.broadcasts")
-        return pending
+        return self._start(tx.sign(keypair), keypair)
 
     def poll(self, pending: PendingTx) -> Optional[Receipt]:
         """Look for a receipt of any attempt; caches it on the pending."""
@@ -202,11 +178,11 @@ class TxSender:
         """One maintenance pass over in-flight transactions.
 
         Polls receipts, and for anything still unconfirmed after its
-        backoff interval (see :meth:`retry_interval`) re-broadcasts with
-        a gas bump (same nonce, so at most one attempt can ever land).
-        Returns the still-pending subset.  Raises
-        :class:`TxAbandonedError` when a transaction exhausted its
-        attempts or its nonce was consumed by a stranger.
+        backoff interval (see :meth:`retry_interval`) re-sends it under
+        the same nonce, so at most one attempt can ever land.  Returns
+        the still-pending subset.  Raises :class:`TxAbandonedError`
+        when a transaction exhausted its attempts or its nonce was
+        consumed by a stranger.
         """
         unconfirmed: List[PendingTx] = []
         for pending in pendings:
@@ -240,8 +216,24 @@ class TxSender:
             )
         return [pending.receipt for pending in pendings]
 
+    def rearm(self, pending: PendingTx) -> bool:
+        """Re-send an unconfirmed ``pending`` now, under a fresh lease.
+
+        The recovery for a transaction abandoned because faults starved
+        it rather than because a stranger consumed its nonce: it is
+        re-signed under its nonce (same slot, so at most one attempt
+        can ever land) and its attempt budget restarts at 1.  Returns
+        False, sending nothing, when ``pending`` is already confirmed
+        or has no signing key.
+        """
+        if self.poll(pending) is not None or pending.keypair is None:
+            return False
+        pending.attempts = 1
+        self._submit(pending, pending.transaction.sign(pending.keypair))
+        return True
+
     def _retry(self, pending: PendingTx) -> None:
-        """Re-broadcast one timed-out pending (gas bump, same nonce)."""
+        """Re-send one timed-out pending under the same nonce."""
         nonce = pending.transaction.nonce
         if self.testnet.any_node.nonce_of(pending.sender) > nonce:
             # Someone's transaction with our nonce landed; ours or not?
@@ -254,20 +246,19 @@ class TxSender:
             raise TxAbandonedError(
                 f"no receipt after {pending.attempts} attempts"
             )
-        if pending.keypair is None:
+        if pending.keypair is not None:
+            pending.transaction = replace(
+                pending.transaction,
+                gas_price=self._bumped_price(pending.transaction, pending.sender),
+            )
+            stx = pending.transaction.sign(pending.keypair)
+        elif pending.signed is not None:
+            stx = pending.signed
+        else:
             raise TxAbandonedError("cannot retry without the signing key")
-        pending.transaction = replace(
-            pending.transaction,
-            gas_price=self._bumped_price(pending.transaction, pending.sender),
-        )
-        stx = pending.transaction.sign(pending.keypair)
-        if stx.tx_hash not in pending.tx_hashes:
-            pending.tx_hashes.append(stx.tx_hash)
         pending.attempts += 1
-        pending.broadcast_height = self.testnet.height
-        self.total_attempts += 1
         self.total_resubmissions += 1
-        self.testnet.send_transaction(stx)
+        self._submit(pending, stx)
         if obs.TRACER.enabled:
             obs.count("txsender.retries")
             obs.observe(
@@ -278,63 +269,12 @@ class TxSender:
                 buckets=(1, 2, 4, 8, 16, 32, 64),
             )
 
-    # ----- public API ---------------------------------------------------------------
+    # ----- synchronous sends --------------------------------------------------------
 
     def send(self, tx: Transaction, keypair: ecdsa.ECDSAKeyPair) -> Receipt:
-        return self.send_with_report(tx, keypair).receipt
-
-    def send_with_report(
-        self, tx: Transaction, keypair: ecdsa.ECDSAKeyPair
-    ) -> SendReport:
-        """Broadcast ``tx``, confirming it through drops and delays."""
+        """Broadcast ``tx`` and mine until it is confirmed (or abandoned)."""
         with obs.span("txsender.send", nonce=tx.nonce) as send_span:
-            report = self._send_with_report(tx, keypair)
-            send_span.set_attrs(
-                attempts=report.attempts, blocks_waited=report.blocks_waited
-            )
-        self._record_report(report)
-        return report
-
-    def _send_with_report(
-        self, tx: Transaction, keypair: ecdsa.ECDSAKeyPair
-    ) -> SendReport:
-        report = SendReport(final_gas_price=tx.gas_price)
-        sender = keypair.address()
-        current = tx
-        while report.attempts < self.max_attempts:
-            report.attempts += 1
-            self.total_attempts += 1
-            if report.attempts > 1:
-                self.total_resubmissions += 1
-            stx = current.sign(keypair)
-            if stx.tx_hash not in report.tx_hashes:
-                report.tx_hashes.append(stx.tx_hash)
-            self.testnet.send_transaction(stx)
-            receipt = self._await_receipt(
-                report,
-                self.retry_interval(sender, current.nonce, report.attempts),
-            )
-            if receipt is not None:
-                report.receipt = receipt
-                report.final_gas_price = current.gas_price
-                return report
-            # Timed out: nonce re-check decides between retry and abandon.
-            if self.testnet.any_node.nonce_of(sender) > current.nonce:
-                receipt = self._find_receipt(report.tx_hashes)
-                if receipt is not None:
-                    report.receipt = receipt
-                    report.final_gas_price = current.gas_price
-                    return report
-                raise TxAbandonedError(
-                    "nonce consumed by a transaction that is not ours"
-                )
-            current = replace(
-                current, gas_price=self._bumped_price(current, sender)
-            )
-        raise TxAbandonedError(
-            f"no receipt after {report.attempts} attempts "
-            f"({report.blocks_waited} blocks)"
-        )
+            return self._confirm(self.broadcast(tx, keypair), send_span)
 
     def send_signed(self, stx: SignedTransaction) -> Receipt:
         """Confirm an externally signed transaction (rebroadcast-only).
@@ -346,68 +286,42 @@ class TxSender:
         with obs.span(
             "txsender.send", nonce=stx.transaction.nonce, signed=True
         ) as send_span:
-            report, receipt = self._send_signed(stx)
-            send_span.set_attrs(
-                attempts=report.attempts, blocks_waited=report.blocks_waited
-            )
-        self._record_report(report)
-        return receipt
-
-    def _send_signed(self, stx: SignedTransaction):
-        report = SendReport(tx_hashes=[stx.tx_hash])
-        for _ in range(self.max_attempts):
-            report.attempts += 1
-            self.total_attempts += 1
-            if report.attempts > 1:
-                self.total_resubmissions += 1
-            self.testnet.send_transaction(stx)
-            receipt = self._await_receipt(
-                report,
-                self.retry_interval(
-                    stx.sender, stx.transaction.nonce, report.attempts
-                ),
-            )
-            if receipt is not None:
-                return report, receipt
-            if self.testnet.any_node.nonce_of(stx.sender) > stx.transaction.nonce:
-                receipt = self._find_receipt(report.tx_hashes)
-                if receipt is not None:
-                    return report, receipt
-                raise TxAbandonedError(
-                    "nonce consumed by a transaction that is not ours"
-                )
-        raise TxAbandonedError(
-            f"no receipt after {report.attempts} attempts "
-            f"({report.blocks_waited} blocks)"
-        )
+            return self._confirm(self._start(stx, None), send_span)
 
     # ----- internals ----------------------------------------------------------------
 
-    def _record_report(self, report: SendReport) -> None:
-        if not obs.TRACER.enabled:
-            return
-        obs.count("txsender.sends")
-        obs.count("txsender.attempts", report.attempts)
-        if report.attempts > 1:
-            obs.count("txsender.retries", report.attempts - 1)
-        obs.observe(
-            "txsender.blocks_waited", report.blocks_waited,
-            buckets=(0, 1, 2, 4, 8, 16, 32, 64),
-        )
+    def _start(
+        self, stx: SignedTransaction, keypair: Optional[ecdsa.ECDSAKeyPair]
+    ) -> PendingTx:
+        """Track a new logical transaction and gossip its first attempt."""
+        pending = PendingTx(stx.transaction, keypair, sender=stx.sender)
+        if obs.TRACER.enabled:
+            obs.count("txsender.sends")
+        self._submit(pending, stx)
+        return pending
 
-    def _await_receipt(
-        self, report: SendReport, interval: Optional[int] = None
-    ) -> Optional[Receipt]:
-        receipt = self._find_receipt(report.tx_hashes)
-        if receipt is not None:
-            return receipt
-        for _ in range(interval if interval is not None else self.timeout_blocks):
-            self.testnet.mine_block()
-            report.blocks_waited += 1
-            receipt = self._find_receipt(report.tx_hashes)
-            if receipt is not None:
-                return receipt
-        return None
+    def _submit(self, pending: PendingTx, stx: SignedTransaction) -> None:
+        """Gossip one signed variant of ``pending`` and restart its wait."""
+        pending.signed = stx
+        if stx.tx_hash not in pending.tx_hashes:
+            pending.tx_hashes.append(stx.tx_hash)
+        pending.broadcast_height = self.testnet.height
+        self.total_attempts += 1
+        self.testnet.send_transaction(stx)
+        if obs.TRACER.enabled:
+            obs.count("txsender.attempts")
+
+    def _confirm(self, pending: PendingTx, send_span) -> Receipt:
+        start = self.testnet.height
+        (receipt,) = self.confirm_all([pending])
+        blocks_waited = self.testnet.height - start
+        send_span.set_attrs(attempts=pending.attempts, blocks_waited=blocks_waited)
+        if obs.TRACER.enabled:
+            obs.observe(
+                "txsender.blocks_waited", blocks_waited,
+                buckets=(0, 1, 2, 4, 8, 16, 32, 64),
+            )
+        return receipt
 
     def _find_receipt(self, tx_hashes: List[bytes]) -> Optional[Receipt]:
         for node in self.testnet.network.nodes:
@@ -422,7 +336,7 @@ class TxSender:
     def _bumped_price(self, tx: Transaction, sender: bytes) -> int:
         bumped = max(
             tx.gas_price + 1,
-            tx.gas_price * (100 + self.gas_bump_percent) // 100,
+            tx.gas_price * (100 + GAS_BUMP_PERCENT) // 100,
         )
         # Never price the replacement beyond what the sender can cover,
         # or every node would reject it at admission.

@@ -729,29 +729,17 @@ class _TaskRunner:
         return False
 
     def _rearm_pending(self) -> bool:
-        """Give abandoned in-flight transactions a fresh retry lease.
-
-        Re-gossips each unconfirmed transaction under its original
-        nonce (same-slot, so at most one attempt can ever land) and
-        resets the attempt budget — the recovery for waves starved by
-        network faults rather than superseded on-chain.
+        """Give abandoned in-flight transactions a fresh retry lease
+        (:meth:`~repro.chain.txsender.TxSender.rearm`) — the recovery
+        for waves starved by network faults rather than superseded
+        on-chain.
         """
         rearmed = False
         for pending in self._wave:
-            if self.engine.tx_sender.poll(pending) is not None:
-                continue
-            if pending.keypair is None:
-                continue
-            pending.attempts = 1
-            pending.broadcast_height = self.engine.testnet.height
-            stx = pending.transaction.sign(pending.keypair)
-            if stx.tx_hash not in pending.tx_hashes:
-                pending.tx_hashes.append(stx.tx_hash)
             try:
-                self.engine.testnet.send_transaction(stx)
+                rearmed = self.engine.tx_sender.rearm(pending) or rearmed
             except ChainError:
-                continue
-            rearmed = True
+                pass  # left unconfirmed: the next service pass retries it
         self._pending = [p for p in self._wave if p.receipt is None]
         if rearmed:
             obs.count("engine.rearmed_waves")

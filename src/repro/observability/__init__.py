@@ -35,7 +35,7 @@ Span/metric name inventory (kept in sync with DESIGN.md §8):
 ``chain.verify_proof``          the snark_verify precompile
 ``chain.batch_verify_proof``    the snark_batch_verify precompile
 ``vm.execute_tx``               one transaction end to end
-``txsender.send``               reliable client submission incl. retries
+``txsender.send``               send/send_signed: broadcast, then confirm_all
 ``snark.setup|prove|verify|batch_verify``  backend operations (both backends)
 ==============================  ====================================================
 """

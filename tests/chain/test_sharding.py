@@ -407,6 +407,42 @@ def test_cross_shard_delivery_pays_exactly_once() -> None:
     assert_shard_conservation(chain)
 
 
+class _DropDeliveries:
+    """A shard fabric censoring the first ``n`` inbox deliveries."""
+
+    def __init__(self, n: int) -> None:
+        self.remaining = n
+
+    def on_transaction(self, stx):
+        if stx.transaction.to == INBOX_ADDRESS and self.remaining > 0:
+            self.remaining -= 1
+            return []
+        return [stx]
+
+
+def test_relayer_rearms_a_delivery_starved_past_its_attempts() -> None:
+    """The destination shard drops the relayer's first four deliver
+    sends, so the delivery exhausts its retry attempts; the relayer
+    re-sends it on a fresh lease and it still lands exactly once."""
+    chain = ShardedChain(shards=2, miners=1, full_nodes=1)
+    (_, sender), (dest, recipient_key) = _cross_shard_pair(chain)
+    censor = _DropDeliveries(4)
+    chain.shard_testnets[dest].network.adversary = censor
+    amount = 777
+    tx = chain.transfer_transaction(
+        sender.address(), 0, recipient_key.address(), amount
+    )
+    chain.tx_sender.send(tx, sender)
+    chain.drain_cross_shard(max_blocks=256)
+    assert censor.remaining == 0
+    assert chain.in_flight_value() == 0
+    chain.mine_blocks(8)  # every stale copy of the delivery gets its chance
+    assert chain.any_node.balance_of(sender.address()) == 10**18 - amount
+    assert chain.any_node.balance_of(recipient_key.address()) == 10**18 + amount
+    assert chain.in_flight_value() == 0
+    assert_shard_conservation(chain)
+
+
 def test_forged_message_amount_is_rejected() -> None:
     chain = ShardedChain(shards=2, miners=1, full_nodes=1)
     message, anchor, signature, proof, recipient_key, _ = _delivered_send(chain)

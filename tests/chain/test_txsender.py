@@ -9,7 +9,7 @@ import pytest
 from repro.crypto import ecdsa
 from repro.chain.network import Testnet
 from repro.chain.transaction import SignedTransaction, Transaction
-from repro.chain.txsender import TxAbandonedError, TxSender
+from repro.chain.txsender import PendingTx, TxAbandonedError, TxSender
 
 USER = ecdsa.ECDSAKeyPair.from_seed(b"txs-user")
 SINK = b"\x42" * 20
@@ -36,14 +36,21 @@ def _funded_net() -> Testnet:
     return net
 
 
+def _confirm(sender: TxSender, tx: Transaction, key) -> PendingTx:
+    """``send`` spelled out: broadcast, then mine until confirmed."""
+    pending = sender.broadcast(tx, key)
+    sender.confirm_all([pending])
+    return pending
+
+
 def test_clean_send_confirms_in_one_attempt() -> None:
     net = _funded_net()
     sender = TxSender(net)
     tx = Transaction(nonce=0, gas_price=1, gas_limit=21_000, to=SINK, value=3)
-    report = sender.send_with_report(tx, USER)
-    assert report.receipt.success
-    assert report.attempts == 1
-    assert report.final_gas_price == 1
+    pending = _confirm(sender, tx, USER)
+    assert pending.receipt.success
+    assert pending.attempts == 1
+    assert pending.transaction.gas_price == 1
     assert net.any_node.balance_of(SINK) == 3
 
 
@@ -52,10 +59,10 @@ def test_dropped_tx_is_resubmitted_with_gas_bump() -> None:
     net.network.adversary = _DropFirstN(1)
     sender = TxSender(net, timeout_blocks=2)
     tx = Transaction(nonce=0, gas_price=100, gas_limit=21_000, to=SINK, value=7)
-    report = sender.send_with_report(tx, USER)
-    assert report.receipt.success
-    assert report.attempts == 2
-    assert report.final_gas_price == 125  # +25% bump on the retry
+    pending = _confirm(sender, tx, USER)
+    assert pending.receipt.success
+    assert pending.attempts == 2
+    assert pending.transaction.gas_price == 125  # +25% bump on the retry
     assert net.any_node.balance_of(SINK) == 7
 
 
@@ -81,9 +88,9 @@ def test_duplicate_resubmission_is_idempotent() -> None:
     net.network.adversary = _DelayingAdversary()
     sender = TxSender(net, timeout_blocks=2)
     tx = Transaction(nonce=0, gas_price=10, gas_limit=21_000, to=SINK, value=9)
-    report = sender.send_with_report(tx, USER)
-    assert report.receipt.success
-    assert len(report.tx_hashes) == 2  # two distinct attempts existed
+    pending = _confirm(sender, tx, USER)
+    assert pending.receipt.success
+    assert len(pending.tx_hashes) == 2  # two distinct attempts existed
     assert net.any_node.balance_of(SINK) == 9  # paid exactly once
     net.mine_blocks(3)  # give the stale duplicate every chance to apply
     assert net.any_node.balance_of(SINK) == 9
@@ -147,10 +154,11 @@ def test_gas_bump_clamped_to_sender_balance() -> None:
     net.network.adversary = _DropFirstN(1)
     sender = TxSender(net, timeout_blocks=2)
     tx = Transaction(nonce=0, gas_price=1, gas_limit=21_000, to=SINK, value=100)
-    report = sender.send_with_report(tx, poor)
-    assert report.receipt.success
+    pending = _confirm(sender, tx, poor)
+    assert pending.receipt.success
+    assert pending.attempts == 2
     # (30_000 - 100) // 21_000 == 1: no affordable bump, same price resent.
-    assert report.final_gas_price == 1
+    assert pending.transaction.gas_price == 1
 
 
 # ----- concurrent-sender additions: NonceManager + the async broadcast path ----------
@@ -163,7 +171,7 @@ def test_nonce_manager_reserves_consecutively() -> None:
     a = sender.nonces.reserve(USER.address())
     b = sender.nonces.reserve(USER.address())
     assert (a, b) == (0, 1)
-    assert sender.nonces.next_nonce(USER.address()) == 2
+    assert sender.nonces.reserve(USER.address()) == 2
 
 
 def test_nonce_manager_follows_chain_after_inclusion() -> None:
@@ -172,10 +180,11 @@ def test_nonce_manager_follows_chain_after_inclusion() -> None:
     nonce = sender.nonces.reserve(USER.address())
     tx = Transaction(nonce=nonce, gas_price=1, gas_limit=21_000, to=SINK, value=1)
     assert sender.send(tx, USER).success
-    # Chain nonce (1) now dominates the local reservation.
-    assert sender.nonces.reserve(USER.address()) == 1
-    sender.nonces.forget(USER.address())
-    assert sender.nonces.next_nonce(USER.address()) == 1
+    # A transaction signed outside this manager lands nonce 1 as well.
+    other = Transaction(nonce=1, gas_price=1, gas_limit=21_000, to=SINK, value=1)
+    assert net.tx_sender.send(other, USER).success
+    # Chain nonce (2) now dominates the local reservation (1).
+    assert sender.nonces.reserve(USER.address()) == 2
 
 
 def test_broadcast_batch_lands_in_one_block() -> None:
@@ -224,6 +233,73 @@ def test_service_retries_dropped_broadcast() -> None:
     assert pending.attempts >= 2
     assert pending.transaction.nonce == 0
     assert net.any_node.balance_of(SINK) == 2
+
+
+def test_service_resends_keyless_pending_unchanged() -> None:
+    """Without the signing key a retry cannot bump the fee, so service()
+    re-sends the signed bytes it already has: same hash, same price."""
+    net = _funded_net()
+    net.network.adversary = _DropFirstN(1)
+    sender = TxSender(net, timeout_blocks=1)
+    tx = Transaction(nonce=0, gas_price=1, gas_limit=21_000, to=SINK, value=4)
+    pending = sender.broadcast(tx, USER)
+    pending.keypair = None
+    original = list(pending.tx_hashes)
+    remaining = [pending]
+    for _ in range(4):
+        net.mine_block()
+        remaining = sender.service(remaining)
+        if not remaining:
+            break
+    assert remaining == []
+    assert pending.receipt.success
+    assert pending.receipt.tx_hash == original[0]
+    assert pending.tx_hashes == original
+    assert pending.transaction.gas_price == 1
+    assert pending.attempts == 2
+    assert net.any_node.balance_of(SINK) == 4
+
+
+def test_rearm_resends_unconfirmed_pending_on_a_fresh_lease() -> None:
+    """An abandoned pending is re-sent at once under its nonce with a
+    fresh attempt budget; a confirmed or keyless one is left alone."""
+    net = _funded_net()
+    adversary = _DropFirstN(10**6)  # black hole until healed
+    net.network.adversary = adversary
+    sender = TxSender(net, timeout_blocks=1, max_attempts=2)
+    tx = Transaction(nonce=0, gas_price=1, gas_limit=21_000, to=SINK, value=6)
+    pending = sender.broadcast(tx, USER)
+    with pytest.raises(TxAbandonedError):
+        sender.confirm_all([pending])
+    assert pending.attempts == 2
+    last_variant = pending.tx_hashes[-1]
+    sends_before = len(adversary.dropped)
+
+    adversary.remaining = 0
+    assert sender.rearm(pending)
+    assert pending.attempts == 1
+    assert pending.broadcast_height == net.height
+    assert len(adversary.dropped) == sends_before  # the re-send got through
+    resent = net.network.transaction_log[-1]
+    assert resent.transaction.nonce == 0
+    assert resent.tx_hash == last_variant  # re-signed, no further bump
+    (receipt,) = sender.confirm_all([pending])
+    assert receipt.success and pending.attempts == 1
+    assert net.any_node.balance_of(SINK) == 6
+
+    # Confirmed: nothing to re-send.
+    assert not sender.rearm(pending)
+    # Keyless: nothing to re-sign with, so it is left alone.
+    keyless = sender.broadcast(
+        Transaction(nonce=1, gas_price=1, gas_limit=21_000, to=SINK, value=1),
+        USER,
+    )
+    keyless.keypair = None
+    keyless.attempts = 2
+    attempts_before = sender.total_attempts
+    assert not sender.rearm(keyless)
+    assert keyless.attempts == 2
+    assert sender.total_attempts == attempts_before
 
 
 # ----- capped exponential backoff with seeded jitter --------------------------

@@ -18,10 +18,12 @@ from repro.core.engine import (
     SimulatedEngineCrash,
     engine_system,
     make_chaos_specs,
+    make_uniform_specs,
 )
 from repro.core.checkpoint import CheckpointStore
 
 from repro.core.accounting import assert_exactly_once_payouts
+from tests.chain.test_txsender import _DropFirstN
 
 BYZANTINE = {"stonewall": [1], "vanish": [2], "equivocate": [3], "empty": [4]}
 
@@ -100,6 +102,20 @@ def test_crash_mid_chaos_still_settles_exactly_once() -> None:
     resumed = ProtocolEngine.resume(system, store.latest(), max_rounds=1024)
     report = resumed.run()
     _assert_chaos_invariants(system, specs, report)
+
+
+def test_wave_starved_past_its_attempts_is_rearmed() -> None:
+    """The task's funding broadcast and its three retries are all
+    dropped, so the transaction sender abandons it; the supervisor's
+    recovery re-sends it on a fresh lease and the task still pays
+    exactly once."""
+    system = engine_system(1, 2, seed=b"engine-rearm")
+    specs = make_uniform_specs(system, 1, 2)
+    system.testnet.network.adversary = _DropFirstN(4)
+    report = ProtocolEngine(system, specs, max_rounds=1024).run()
+    assert report.outcomes[0].status == "completed"
+    assert report.resilience["recoveries"] == 1
+    assert_exactly_once_payouts(system, specs, report.outcomes)
 
 
 def test_backpressure_keeps_oversized_cohorts_alive() -> None:
