@@ -98,7 +98,8 @@ class RegistrationAuthority:
         """
         if self.cert_mode == CERT_MODE_MERKLE:
             return self._tree.root
-        assert self._mpk is not None
+        if self._mpk is None:
+            raise RegistrationError("schnorr mode needs the RA master key pair")
         return mimc_hash_native([self._mpk[0], self._mpk[1]], self.mimc)
 
     @property
@@ -118,15 +119,17 @@ class RegistrationAuthority:
             raise RegistrationError(f"identity {identity!r} is already registered")
         if public_key in self._leaf_index:
             raise RegistrationError("public key is already certified")
-        self._identities[identity] = public_key
         if self.cert_mode == CERT_MODE_MERKLE:
             index = self._tree.append(public_key)
-            self._leaf_index[public_key] = index
-            return MerkleCertificate(leaf_index=index, path=self._tree.path(index))
-        self._leaf_index[public_key] = len(self._leaf_index)
-        assert self._msk is not None
-        signature = schnorr.sign(self._schnorr_params, self._msk, [public_key])
-        return SchnorrCertificate(signature=signature)
+            certificate: Certificate = MerkleCertificate(
+                leaf_index=index, path=self._tree.path(index)
+            )
+        else:
+            index = len(self._leaf_index)
+            certificate = self._schnorr_certificate(public_key)
+        self._identities[identity] = public_key
+        self._leaf_index[public_key] = index
+        return certificate
 
     def refresh_certificate(self, public_key: int) -> Certificate:
         """Re-issue the current credential for an already-certified key.
@@ -139,7 +142,11 @@ class RegistrationAuthority:
         if self.cert_mode == CERT_MODE_MERKLE:
             index = self._leaf_index[public_key]
             return MerkleCertificate(leaf_index=index, path=self._tree.path(index))
-        assert self._msk is not None
+        return self._schnorr_certificate(public_key)
+
+    def _schnorr_certificate(self, public_key: int) -> SchnorrCertificate:
+        if self._msk is None:
+            raise RegistrationError("schnorr mode needs the RA master key pair")
         signature = schnorr.sign(self._schnorr_params, self._msk, [public_key])
         return SchnorrCertificate(signature=signature)
 

@@ -120,7 +120,8 @@ class AuthCircuit(CircuitDefinition):
             if not isinstance(certificate, SchnorrCertificate):
                 raise AuthenticationError("schnorr mode requires a Schnorr certificate")
             mpk = self.master_public_key
-            assert mpk is not None
+            if mpk is None:
+                raise CircuitError("schnorr mode requires the RA master public key")
             schnorr.verify_gadget(
                 cs,
                 self._schnorr_params,

@@ -209,7 +209,8 @@ class Network:
         self._needs_sync.clear()
 
     def _apply_crash_schedule(self, height: int) -> None:
-        assert self.fault_plan is not None
+        if self.fault_plan is None:
+            raise ChainError("no fault plan to take crashes from")
         for node in self.nodes:
             down = self.fault_plan.crashed_at(node.name, height)
             if down and not node.crashed:
@@ -223,7 +224,8 @@ class Network:
                 self._needs_sync.add(node.name)
 
     def _apply_partition_schedule(self, height: int) -> None:
-        assert self.fault_plan is not None
+        if self.fault_plan is None:
+            raise ChainError("no fault plan to take partitions from")
         groups = self.fault_plan.partition_groups(height)
         if groups is None:
             if self._partition_of:

@@ -153,7 +153,8 @@ class VM:
 
     def _apply_message(self, ctx: ExecutionContext, stx: SignedTransaction) -> Any:
         tx = stx.transaction
-        assert tx.to is not None
+        if tx.to is None:
+            raise InvalidTransactionError("message call without a destination")
         destination = ctx.state.account(tx.to)
         if tx.value:
             ctx.state.transfer(stx.sender, tx.to, tx.value)

@@ -2,11 +2,13 @@
 
 G1 points are affine ``(x, y)`` int pairs (or ``None`` for infinity) on
 ``y² = x³ + 3`` over FQ; G2 points are affine pairs of :class:`FQ2` on
-the twist ``y² = x³ + 3/(9+i)``.  All scalar multiplication and
-multi-scalar multiplication runs in Jacobian coordinates (no field
-inversions on the hot path); MSMs use Pippenger bucket windowing and
-repeated multiplications of a fixed base go through precomputed
-windowed tables (:class:`FixedBaseTable`).
+the twist ``y² = x³ + 3/(9+i)``.  Scalar multiplication runs in
+Jacobian coordinates (no field inversions), and repeated
+multiplications of a fixed base go through precomputed windowed tables
+(:class:`FixedBaseTable`).  Multi-scalar multiplication is Pippenger
+with signed window digits and affine buckets: each batch of bucket
+additions shares one field inversion (Montgomery's trick), and only
+the final combination of the windows runs in Jacobian coordinates.
 
 G1 scalar multiplication and MSM split every scalar wider than the GLV
 component bound into two half-width components via the endomorphism
@@ -120,9 +122,9 @@ def _g1_jac_add(p1, p2):
         return p1
     x1, y1, z1 = p1
     x2, y2, z2 = p2
-    # Mixed-add shortcut: Pippenger bucket accumulation and table walks
-    # feed one affine (z = 1) operand most of the time, saving four of
-    # the sixteen field multiplies.
+    # Mixed-add shortcut: ladders, table walks and the MSM's window
+    # combination feed one affine (z = 1) operand most of the time,
+    # saving four of the sixteen field multiplies.
     if z2 == 1:
         u1, s1 = x1, y1
         z1sq = (z1 * z1) % _Q
@@ -165,10 +167,6 @@ def _g1_from_jac(pt) -> G1Point:
     zi = pow(z, -1, _Q)
     zi2 = (zi * zi) % _Q
     return ((x * zi2) % _Q, (y * zi2 * zi) % _Q)
-
-
-def _g1_jac_is_zero(pt) -> bool:
-    return pt[2] == 0
 
 
 # ----- GLV endomorphism (G1) ------------------------------------------------------
@@ -473,46 +471,215 @@ def _msm_window_size(n: int) -> int:
     return 10
 
 
-def _pippenger_jac(pairs, jac_add, jac_double, jac_is_zero, zero, bits=None):
-    """Bucket-window MSM over Jacobian pairs [(point_jac, scalar), ...].
+def _g1_batch_add(left, right):
+    """Affine sums ``left[i] + right[i]`` sharing one field inversion.
+
+    Montgomery's trick: invert the product of every slope denominator
+    once, then peel each inverse off the prefix products walking back.
+    Equal points take the tangent slope; P + (−P) is None (infinity)
+    and leaves the product alone.
+    """
+    q = _Q
+    prefix = []
+    push = prefix.append
+    acc = 1
+    for (x1, y1), (x2, y2) in zip(left, right):
+        push(acc)
+        d = x2 - x1
+        if d:
+            acc = acc * d % q
+        elif y1 == y2 and y1:
+            acc = acc * 2 * y1 % q
+    inv = pow(acc, -1, q)
+    i = len(prefix)
+    out = [None] * i
+    for (x1, y1), (x2, y2) in zip(reversed(left), reversed(right)):
+        i -= 1
+        d = x2 - x1
+        if d:
+            lam = (y2 - y1) * (inv * prefix[i] % q) % q
+            inv = inv * d % q
+        elif y1 == y2 and y1:
+            lam = 3 * x1 * x1 * (inv * prefix[i] % q) % q
+            inv = inv * 2 * y1 % q
+        else:
+            continue
+        x3 = (lam * lam - x1 - x2) % q
+        out[i] = (x3, (lam * (x1 - x3) - y1) % q)
+    return out
+
+
+def _g2_batch_add(left, right):
+    """:func:`_g1_batch_add` on raw affine G2 points ``(x0, x1, y0, y1)``.
+
+    An FQ2 denominator d inverts as conj(d) / N(d) with the FQ norm
+    N(d) = d0² + d1², so the batch inverts the norms alone.
+    """
+    q = _Q
+    prefix = []
+    push = prefix.append
+    acc = 1
+    for (a0, a1, b0, b1), (c0, c1, e0, e1) in zip(left, right):
+        push(acc)
+        d0 = c0 - a0
+        d1 = c1 - a1
+        if d0 or d1:
+            acc = acc * (d0 * d0 + d1 * d1) % q
+        elif b0 == e0 and b1 == e1 and (b0 or b1):
+            acc = acc * 4 * (b0 * b0 + b1 * b1) % q
+    inv = pow(acc, -1, q)
+    i = len(prefix)
+    out = [None] * i
+    for (a0, a1, b0, b1), (c0, c1, e0, e1) in zip(reversed(left), reversed(right)):
+        i -= 1
+        d0 = c0 - a0
+        d1 = c1 - a1
+        if d0 or d1:
+            n0 = e0 - b0
+            n1 = e1 - b1
+        elif b0 == e0 and b1 == e1 and (b0 or b1):
+            d0 = 2 * b0
+            d1 = 2 * b1
+            n0 = 3 * (a0 + a1) * (a0 - a1)
+            n1 = 6 * a0 * a1
+        else:
+            continue
+        n_inv = inv * prefix[i] % q
+        inv = inv * (d0 * d0 + d1 * d1) % q
+        # λ = n·conj(d) / N(d)
+        t0 = n0 * d0
+        t1 = n1 * d1
+        l0 = (t0 + t1) % q * n_inv % q
+        l1 = ((n0 + n1) * (d0 - d1) - t0 + t1) % q * n_inv % q
+        x0 = ((l0 + l1) * (l0 - l1) - a0 - c0) % q
+        x1 = (2 * l0 * l1 - a1 - c1) % q
+        u0 = a0 - x0
+        u1 = a1 - x1
+        t0 = l0 * u0
+        t1 = l1 * u1
+        out[i] = (
+            x0,
+            x1,
+            (t0 - t1 - b0) % q,
+            ((l0 + l1) * (u0 + u1) - t0 - t1 - b1) % q,
+        )
+    return out
+
+
+def _bucket_sums(buckets, batch_add):
+    """Each bucket's sum (None when empty), by pairwise rounds.
+
+    Every round pairs up the points of all buckets holding two or more
+    and adds the pairs as one batch, so a pass costs one inversion per
+    round, ⌈log₂(largest bucket)⌉ rounds in all.
+    """
+    busy = [pts for pts in buckets if len(pts) > 1]
+    while busy:
+        left = []
+        right = []
+        for pts in busy:
+            k = len(pts) >> 1
+            left += pts[:k]
+            right += pts[k : 2 * k]
+        sums = batch_add(left, right)
+        pos = 0
+        for pts in busy:
+            k = len(pts) >> 1
+            merged = [p for p in sums[pos : pos + k] if p is not None]
+            if len(pts) & 1:
+                merged.append(pts[-1])
+            pts[:] = merged
+            pos += k
+        busy = [pts for pts in busy if len(pts) > 1]
+    return [pts[0] if pts else None for pts in buckets]
+
+
+#: Points one bucketing pass holds: an MSM of this many pairs or more
+#: buckets one window per pass, a smaller one several windows, so that
+#: its rounds still share each inversion among many additions.
+_PASS_POINTS = 256
+
+
+def _pippenger_affine(pairs, neg, batch_add, to_jac, jac_add, jac_double, zero):
+    """Bucket-window MSM over affine pairs [(point, scalar), ...].
 
     Scalars must already be reduced mod r (or GLV-decomposed) and
-    nonzero.  ``bits`` sizes the window sweep; by default it is taken
-    from the widest scalar actually present, so short scalars (GLV
-    components, small protocol exponents) don't pay for 254-bit sweeps.
+    nonzero; the window count follows the widest one present.  Each
+    c-bit window digit is signed, in [−2^(c−1), 2^(c−1)]: a digit above
+    2^(c−1) becomes its negative and carries one into the next window,
+    so a window needs only 2^(c−1) buckets and a negative digit drops
+    the negated point in.  One extra window takes the top carry.
+
+    Buckets collapse by :func:`_bucket_sums`, one window per pass once
+    the MSM has :data:`_PASS_POINTS` pairs.  Σ j·B_j then runs as
+    running sums for all windows in lock-step, one batch of additions
+    per step, and the window sums combine through c Jacobian doublings
+    each.  Returns a Jacobian point.
     """
-    if bits is None:
-        bits = max(s.bit_length() for _, s in pairs)
+    points = [p for p, _ in pairs]
+    negated = [neg(p) for p in points]
+    rest = [s for _, s in pairs]
     c = _msm_window_size(len(pairs))
+    half = 1 << (c - 1)
     mask = (1 << c) - 1
-    num_windows = (bits + c - 1) // c
-    total = zero
-    for w in range(num_windows - 1, -1, -1):
-        if not jac_is_zero(total):
-            for _ in range(c):
-                total = jac_double(total)
-        shift = w * c
-        buckets = [None] * (mask + 1)
-        for pt, s in pairs:
-            d = (s >> shift) & mask
-            if d:
-                held = buckets[d]
-                buckets[d] = pt if held is None else jac_add(held, pt)
-        # Σ d·bucket[d] via the running-sum trick.
-        running = None
-        acc = None
-        for d in range(mask, 0, -1):
-            b = buckets[d]
+    num_windows = max(s.bit_length() for s in rest) // c + 1
+    per_pass = max(1, _PASS_POINTS // len(pairs))
+    sums = []  # window w's bucket j at w * (half + 1) + j
+    for first in range(0, num_windows, per_pass):
+        buckets = []
+        for _ in range(first, min(first + per_pass, num_windows)):
+            window = [[] for _ in range(half + 1)]
+            for i, r in enumerate(rest):
+                d = r & mask
+                r >>= c
+                if d > half:
+                    window[mask + 1 - d].append(negated[i])
+                    r += 1
+                elif d:
+                    window[d].append(points[i])
+                rest[i] = r
+            buckets += window
+        sums += _bucket_sums(buckets, batch_add)
+
+    # Per window, for j = half .. 1: acc += running; running += B_j, and
+    # a closing acc += running (j = 0) leaves acc = Σ j·B_j.
+    running = [None] * num_windows
+    acc = [None] * num_windows
+    for j in range(half, -1, -1):
+        left = []
+        right = []
+        slots = []
+        for w in range(num_windows):
+            r = running[w]
+            if r is not None:
+                if acc[w] is None:
+                    acc[w] = r
+                else:
+                    left.append(acc[w])
+                    right.append(r)
+                    slots.append((acc, w))
+            b = sums[w * (half + 1) + j] if j else None
             if b is not None:
-                running = b if running is None else jac_add(running, b)
-            if running is not None:
-                acc = running if acc is None else jac_add(acc, running)
-        if acc is not None:
-            total = jac_add(total, acc)
+                if r is None:
+                    running[w] = b
+                else:
+                    left.append(r)
+                    right.append(b)
+                    slots.append((running, w))
+        if left:
+            for (target, w), s in zip(slots, batch_add(left, right)):
+                target[w] = s
+
+    total = zero
+    for s in reversed(acc):
+        for _ in range(c):
+            total = jac_double(total)
+        if s is not None:
+            total = jac_add(total, to_jac(s))
     return total
 
 
-def _msm_pairs(points, scalars, to_jac):
+def _msm_pairs(points, scalars, to_raw):
     points = list(points)
     scalars = list(scalars)
     if len(points) != len(scalars):
@@ -523,7 +690,7 @@ def _msm_pairs(points, scalars, to_jac):
     for pt, s in zip(points, scalars):
         s %= CURVE_ORDER
         if pt is not None and s:
-            pairs.append((to_jac(pt), s))
+            pairs.append((to_raw(pt), s))
     return pairs
 
 
@@ -544,9 +711,14 @@ def g1_msm(points, scalars) -> G1Point:
     params, _ = _g1_glv()
     if max(s.bit_length() for _, s in pairs) > params.max_component_bits():
         pairs = _glv_expand_pairs(pairs)
-    jac_pairs = [((x, y, 1), s) for (x, y), s in pairs]
-    total = _pippenger_jac(
-        jac_pairs, _g1_jac_add, _g1_jac_double, _g1_jac_is_zero, (0, 1, 0)
+    total = _pippenger_affine(
+        pairs,
+        g1_neg,
+        _g1_batch_add,
+        lambda p: p + (1,),
+        _g1_jac_add,
+        _g1_jac_double,
+        (0, 1, 0),
     )
     return _g1_from_jac(total)
 
@@ -581,15 +753,24 @@ def g2_msm(points, scalars) -> G2Point:
     """Multi-scalar multiplication Σ s_i·P_i on G2 (Pippenger)."""
     if obs.TRACER.enabled:
         obs.count("snark.msm.g2_calls")
-    pairs = _msm_pairs(points, scalars, _g2_to_raw)
+    pairs = _msm_pairs(
+        points, scalars, lambda p: (p[0].c0, p[0].c1, p[1].c0, p[1].c1)
+    )
     if not pairs:
         return None
     if len(pairs) == 1:
         pt, s = pairs[0]
-        return _g2r_from_jac(_g2r_jac_mul(pt, s))
-    return _g2r_from_jac(
-        _pippenger_jac(pairs, _g2r_jac_add, _g2r_jac_double, _g2r_is_zero, _G2R_INF)
+        return _g2r_from_jac(_g2r_jac_mul(pt + (1, 0), s))
+    total = _pippenger_affine(
+        pairs,
+        lambda p: (p[0], p[1], -p[2] % _Q, -p[3] % _Q),
+        _g2_batch_add,
+        lambda p: p + (1, 0),
+        _g2r_jac_add,
+        _g2r_jac_double,
+        _G2R_INF,
     )
+    return _g2r_from_jac(total)
 
 
 def g2_msm_naive(points, scalars) -> G2Point:

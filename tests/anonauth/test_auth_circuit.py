@@ -145,3 +145,17 @@ def test_schnorr_mode_satisfies_and_binds_mpk() -> None:
     )
     with pytest.raises(UnsatisfiedConstraintError):
         imposter_circuit.build(instance).check_satisfied()
+
+
+def test_schnorr_synthesis_without_master_key_raises() -> None:
+    authority = RegistrationAuthority(TEST, cert_mode=CERT_MODE_SCHNORR, seed=b"ra")
+    user = UserKeyPair.generate(MIMC, seed=b"circuit-user")
+    certificate = authority.register("circuit-user", user.public_key)
+    circuit = AuthCircuit(
+        TEST, CERT_MODE_SCHNORR, master_public_key=authority.master_public_key
+    )
+    instance = _instance(authority, user, certificate)
+    circuit.build(instance).check_satisfied()
+    circuit.master_public_key = None
+    with pytest.raises(CircuitError, match="master public key"):
+        circuit.build(instance)

@@ -119,3 +119,19 @@ def test_unknown_mode_rejected() -> None:
 def test_merkle_ra_has_no_master_secret(merkle_ra) -> None:
     assert merkle_ra.master_public_key is None
     assert merkle_ra._msk is None
+
+
+def test_schnorr_mode_without_master_keys_raises(merkle_ra) -> None:
+    """An authority switched to schnorr mode has no key pair to use."""
+    user = _user(merkle_ra, b"u1")
+    merkle_ra.register("u1@x", user.public_key)
+    merkle_ra.cert_mode = CERT_MODE_SCHNORR
+    with pytest.raises(RegistrationError, match="master key pair"):
+        merkle_ra.registry_commitment()
+    with pytest.raises(RegistrationError, match="master key pair"):
+        merkle_ra.refresh_certificate(user.public_key)
+    newcomer = _user(merkle_ra, b"u2")
+    with pytest.raises(RegistrationError, match="master key pair"):
+        merkle_ra.register("u2@x", newcomer.public_key)
+    assert merkle_ra.registered_count == 1
+    assert not merkle_ra.is_certified(newcomer.public_key)

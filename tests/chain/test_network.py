@@ -110,3 +110,12 @@ def test_custom_topology() -> None:
     assert net.any_node is net.miners[0]
     net.mine_block()
     net.assert_consensus()
+
+
+def test_fault_schedules_need_a_fault_plan(testnet) -> None:
+    """``tick`` applies them only under a plan; called without one they raise."""
+    assert testnet.network.fault_plan is None
+    with pytest.raises(ChainError, match="crashes"):
+        testnet.network._apply_crash_schedule(1)
+    with pytest.raises(ChainError, match="partitions"):
+        testnet.network._apply_partition_schedule(1)

@@ -7,7 +7,15 @@ import pytest
 from repro.crypto import ecdsa
 from repro.errors import InvalidTransactionError
 from repro.chain.address import contract_address
-from repro.chain.contract import BlockContext, Contract, ContractRegistry, external, view
+from repro.chain.contract import (
+    BlockContext,
+    Contract,
+    ContractRegistry,
+    ExecutionContext,
+    external,
+    view,
+)
+from repro.chain.gas import GasMeter
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction, encode_call, encode_create
 from repro.chain.vm import VM
@@ -236,3 +244,18 @@ def test_value_conservation_across_execution() -> None:
                      value=0, data=encode_call("withdraw", [OTHER.address(), 400]))
     assert _run(vm, state, tx).success
     assert state.total_supply() == supply_before
+
+
+def test_message_path_without_destination_raises() -> None:
+    """Dispatch sends creations elsewhere; the message path still checks."""
+    vm, state = _fresh()
+    tx = Transaction(
+        nonce=0, gas_price=1, gas_limit=1_000_000, to=None, value=0,
+        data=encode_create("VaultForTests", [SENDER.address()]),
+    )
+    ctx = ExecutionContext(
+        state=state, meter=GasMeter(tx.gas_limit, vm.schedule), block=BLOCK,
+        origin=SENDER.address(), vm=vm,
+    )
+    with pytest.raises(InvalidTransactionError, match="without a destination"):
+        vm._apply_message(ctx, tx.sign(SENDER))

@@ -1,6 +1,6 @@
 """Differential sweep: optimized Groth16/BN128 paths vs naive references.
 
-~100 seeded cases asserting the optimized implementations (Pippenger
+~120 seeded cases asserting the optimized implementations (Pippenger
 MSMs, prepared-pairing multi-pairing, random-linear-combination
 ``batch_verify``) agree bit-for-bit with the retained naive reference
 paths — including on corrupted proofs, where BOTH must reject.
@@ -25,14 +25,22 @@ from repro.zksnark import (
 from repro.zksnark.bn128.curve import (
     G1,
     G2,
+    _g1_batch_add,
+    _g2_batch_add,
+    _msm_window_size,
+    g1_add,
     g1_msm,
     g1_msm_naive,
     g1_mul,
+    g1_neg,
+    g2_add,
     g2_msm,
     g2_msm_naive,
     g2_mul,
+    g2_neg,
 )
 from repro.zksnark.bn128.fq import CURVE_ORDER
+from repro.zksnark.bn128.fq2 import FQ2
 from repro.zksnark.bn128.fq12 import FQ12
 from repro.zksnark.bn128.glv import GLVParams
 from repro.zksnark.bn128.pairing import (
@@ -118,6 +126,145 @@ def test_msm_length_mismatch_raises_on_both_paths(group: str) -> None:
     for fn in (fast, slow):
         with pytest.raises(ValueError):
             fn([point], [1, 2])
+
+
+# ----- batch-affine buckets: the branches a small random sweep misses (23 cases) --
+#
+# Buckets collapse by pairwise rounds that add each round's pairs as one
+# batch: the first round pairs a bucket's i-th point with its (i + k)-th,
+# k half its size.  ``_mirrored`` repeats its input, so whenever a digit
+# puts both copies of a term in one bucket, round one adds a point to
+# itself (a doubling) or to its negation (infinity).
+
+
+def _mirrored(points, scalars, neg, negate_odd):
+    second = [neg(p) if negate_odd and i % 2 else p for i, p in enumerate(points)]
+    return points + second, scalars + scalars
+
+
+@pytest.mark.parametrize("width", ["narrow", "full"])
+@pytest.mark.parametrize("negate_odd", [False, True], ids=["doubling", "doubling+inf"])
+def test_g1_msm_doubling_and_cancellation_inside_a_batch(width, negate_odd) -> None:
+    rng = random.Random(f"g1-mirror-{width}-{negate_odd}")
+    bound = 2**64 if width == "narrow" else CURVE_ORDER
+    scalars = [rng.randrange(1, bound) for _ in range(6)]
+    points, scalars = _mirrored(_g1_points(rng, 6), scalars, g1_neg, negate_odd)
+    assert g1_msm(points, scalars) == g1_msm_naive(points, scalars)
+
+
+@pytest.mark.parametrize("width", ["narrow", "full"])
+def test_g1_msm_of_points_and_negations_is_infinity(width) -> None:
+    rng = random.Random(f"g1-cancel-{width}")
+    bound = 2**64 if width == "narrow" else CURVE_ORDER
+    points = _g1_points(rng, 3)
+    scalars = [rng.randrange(1, bound) for _ in range(3)]
+    points += [g1_neg(p) for p in points]
+    scalars += scalars
+    assert g1_msm_naive(points, scalars) is None
+    assert g1_msm(points, scalars) is None
+    # One surviving term: every other bucket empties on the way.
+    points.append(points[0])
+    scalars.append(7)
+    assert g1_msm(points, scalars) == g1_mul(points[0], 7)
+
+
+def _all_high(bits: int) -> int:
+    return (1 << bits) - 1
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 20])
+def test_g1_msm_carries_out_of_the_top_window(size: int) -> None:
+    """Scalars whose digits all exceed half a window carry at every
+    window, the top one included; r − 1 goes through the GLV split."""
+    rng = random.Random(15000 + size)
+    points = _g1_points(rng, size)
+    widths = [_G1_GLV_BITS, 64, 63, 62, 30, 5]
+    scalars = [_all_high(widths[i % len(widths)]) for i in range(size)]
+    assert g1_msm(points, scalars) == g1_msm_naive(points, scalars)
+    scalars[0] = CURVE_ORDER - 1
+    assert g1_msm(points, scalars) == g1_msm_naive(points, scalars)
+
+
+@pytest.mark.parametrize("size", [2, 3, 5])
+def test_g2_msm_carries_out_of_the_top_window(size: int) -> None:
+    rng = random.Random(15100 + size)
+    points = [g2_mul(G2, rng.randrange(1, 2**32)) for _ in range(size)]
+    scalars = [CURVE_ORDER - 1] + [_all_high(64 - i) for i in range(size - 1)]
+    assert g2_msm(points, scalars) == g2_msm_naive(points, scalars)
+
+
+def _g1_point_walk(count: int):
+    """``count`` distinct points at one affine addition each."""
+    step = g1_mul(G1, 0x5EED)
+    points = [step]
+    for _ in range(count - 1):
+        points.append(g1_add(points[-1], step))
+    return points
+
+
+@pytest.mark.parametrize("threshold", [4, 16, 64, 512, 4096])
+def test_g1_msm_window_size_thresholds(threshold: int) -> None:
+    """Both sides of every window-size switch; 16-bit scalars stay below
+    the GLV bound, so the pair count is the point count."""
+    assert _msm_window_size(threshold - 1) != _msm_window_size(threshold)
+    rng = random.Random(16000 + threshold)
+    walk = _g1_point_walk(threshold)
+    for size in (threshold - 1, threshold):
+        points = walk[:size]
+        scalars = [rng.randrange(1, 2**16) for _ in range(size)]
+        assert g1_msm(points, scalars) == g1_msm_naive(points, scalars)
+
+
+def test_g1_msm_prover_sized() -> None:
+    """447 full-width terms (the auth circuit's wire count), with a
+    repeated term and a negated one among them."""
+    rng = random.Random(17000)
+    points = _g1_point_walk(447)
+    scalars = [rng.randrange(1, CURVE_ORDER) for _ in range(447)]
+    points[1], scalars[1] = points[0], scalars[0]
+    points[3], scalars[3] = g1_neg(points[2]), scalars[2]
+    assert g1_msm(points, scalars) == g1_msm_naive(points, scalars)
+
+
+@pytest.mark.parametrize("low_digit", [7, 31])
+def test_g2_msm_multi_round_reduction_with_duplicates_and_negations(low_digit) -> None:
+    """24 terms whose scalars share their lowest 5-bit digit (the window
+    for 24 pairs), so one bucket takes all of them through five rounds;
+    the mirrored half doubles or cancels in round one."""
+    assert _msm_window_size(24) == 5
+    rng = random.Random(18000 + low_digit)
+    base = [g2_mul(G2, rng.randrange(1, 2**32)) for _ in range(12)]
+    base[5] = base[4]
+    scalars = [(rng.randrange(1, 2**40) << 5) | low_digit for _ in range(12)]
+    scalars[5] = scalars[4]
+    points, scalars = _mirrored(base, scalars, g2_neg, True)
+    assert g2_msm(points, scalars) == g2_msm_naive(points, scalars)
+
+
+@pytest.mark.parametrize("group", ["g1", "g2"])
+def test_msm_batch_add_matches_affine_add(group: str) -> None:
+    """One batch mixing general additions, doublings and P + (−P)."""
+    rng = random.Random(f"batch-add-{group}")
+    if group == "g1":
+        mul, neg, add, batch = g1_mul, g1_neg, g1_add, _g1_batch_add
+        gen, raw, unraw = G1, (lambda p: p), (lambda p: p)
+    else:
+        mul, neg, add, batch = g2_mul, g2_neg, g2_add, _g2_batch_add
+        gen = G2
+        raw = lambda p: (p[0].c0, p[0].c1, p[1].c0, p[1].c1)  # noqa: E731
+        unraw = lambda p: (FQ2(p[0], p[1]), FQ2(p[2], p[3]))  # noqa: E731
+    p = [mul(gen, rng.randrange(1, 2**32)) for _ in range(4)]
+    pairs = [
+        (p[0], p[3]),
+        (p[1], p[1]),
+        (p[2], neg(p[2])),
+        (p[3], p[1]),
+        (p[3], neg(p[3])),
+    ]
+    expected = [add(a, b) for a, b in pairs]
+    assert expected[2] is None and expected[4] is None
+    got = batch([raw(a) for a, _ in pairs], [raw(b) for _, b in pairs])
+    assert [None if s is None else unraw(s) for s in got] == expected
 
 
 # ----- pairing: prepared/decomposed vs all-FQ12 reference (10 cases) --------------
