@@ -9,6 +9,8 @@ Public surface:
   signatures (the DApp-layer primitives named in Section VI).
 - :class:`repro.crypto.ecdsa.ECDSAKeyPair` — secp256k1 signatures used by
   the blockchain substrate for transaction authentication.
+- :class:`repro.crypto.weierstrass.WeierstrassCurve` — the a = 0 curve
+  group law that secp256k1 and BN254's G1 share.
 """
 
 from repro.crypto.hashing import keccak256, sha256

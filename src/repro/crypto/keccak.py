@@ -32,11 +32,6 @@ _ROTATIONS = (
 _MASK = (1 << 64) - 1
 
 
-def _rotl(value: int, shift: int) -> int:
-    shift %= 64
-    return ((value << shift) | (value >> (64 - shift))) & _MASK
-
-
 def keccak_f1600(state: list[int]) -> list[int]:
     """Apply the 24-round Keccak-f[1600] permutation to a 5x5 lane state.
 

@@ -1,0 +1,290 @@
+"""Short-Weierstrass curves y² = x³ + b (a = 0) over a prime field.
+
+secp256k1 (every transaction and PoA seal signature) and BN254's G1
+(the SNARK's first pairing group) both have this form, with
+p ≡ n ≡ 1 (mod 3), so both run on this one implementation of the group
+law: Jacobian doubling and addition, a double-and-add reference ladder,
+the GLV endomorphism φ(x, y) = (βx, y) with an interleaved (Shamir)
+ladder, and :class:`FixedBaseTable` for many multiplications of one
+base.
+
+Affine points are ``(x, y)`` int pairs, ``None`` being the point at
+infinity.  Jacobian points are ``(X, Y, Z)`` with x = X/Z², y = Y/Z³,
+and Z = 0 at infinity.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Tuple
+
+from repro.crypto.glv import GLVParams, cube_root_of_unity
+
+Point = Optional[Tuple[int, int]]  # None is the point at infinity.
+
+
+def _jacobian_ops(p: int):
+    """Jacobian doubling and addition on y² = x³ + b mod ``p``.
+
+    The modulus is bound in the closures rather than read off the
+    curve object: a production Groth16 setup runs the addition 1.5 M
+    times, and an attribute load per call would show.  Neither formula
+    reads b.
+    """
+
+    def jac_double(pt):
+        x, y, z = pt
+        if y == 0 or z == 0:
+            return (0, 1, 0)
+        ysq = (y * y) % p
+        s = (4 * x * ysq) % p
+        m = (3 * x * x) % p
+        nx = (m * m - 2 * s) % p
+        ny = (m * (s - nx) - 8 * ysq * ysq) % p
+        nz = (2 * y * z) % p
+        return (nx, ny, nz)
+
+    def jac_add(p1, p2):
+        if p1[2] == 0:
+            return p2
+        if p2[2] == 0:
+            return p1
+        x1, y1, z1 = p1
+        x2, y2, z2 = p2
+        # Mixed-add shortcut: ladders, table walks and the MSM's window
+        # combination feed one affine (z = 1) operand most of the time,
+        # saving four of the sixteen field multiplies.
+        if z2 == 1:
+            u1, s1 = x1, y1
+            z1sq = (z1 * z1) % p
+            u2 = (x2 * z1sq) % p
+            s2 = (y2 * z1sq * z1) % p
+            zz = z1
+        elif z1 == 1:
+            u2, s2 = x2, y2
+            z2sq = (z2 * z2) % p
+            u1 = (x1 * z2sq) % p
+            s1 = (y1 * z2sq * z2) % p
+            zz = z2
+        else:
+            z1sq = (z1 * z1) % p
+            z2sq = (z2 * z2) % p
+            u1 = (x1 * z2sq) % p
+            u2 = (x2 * z1sq) % p
+            s1 = (y1 * z2sq * z2) % p
+            s2 = (y2 * z1sq * z1) % p
+            zz = (z1 * z2) % p
+        if u1 == u2:
+            if s1 != s2:
+                return (0, 1, 0)
+            return jac_double(p1)
+        h = (u2 - u1) % p
+        r = (s2 - s1) % p
+        h2 = (h * h) % p
+        h3 = (h * h2) % p
+        u1h2 = (u1 * h2) % p
+        nx = (r * r - h3 - 2 * u1h2) % p
+        ny = (r * (u1h2 - nx) - s1 * h3) % p
+        nz = (h * zz) % p
+        return (nx, ny, nz)
+
+    return jac_double, jac_add
+
+
+def _affine_to_jac(point: Tuple[int, int]) -> Tuple[int, int, int]:
+    return (point[0], point[1], 1)
+
+
+class WeierstrassCurve:
+    """The prime-order group of y² = x³ + b over F_p.
+
+    ``jac_double`` and ``jac_add`` are plain functions on Jacobian
+    triples (see :func:`_jacobian_ops`), so hot loops and the MSM can
+    bind them once.  The GLV set-up is lazy: nothing is computed until
+    the first wide scalar multiplication.
+    """
+
+    def __init__(self, p: int, b: int, order: int, generator: Tuple[int, int]) -> None:
+        self.p = p
+        self.b = b
+        self.order = order
+        self.generator = generator
+        self.jac_double, self.jac_add = _jacobian_ops(p)
+        self._glv: Optional[Tuple[GLVParams, int]] = None
+
+    def is_on_curve(self, point: Point) -> bool:
+        """Whether an affine point satisfies the curve equation."""
+        if point is None:
+            return True
+        x, y = point
+        return (y * y - x * x * x - self.b) % self.p == 0
+
+    def neg(self, point: Point) -> Point:
+        if point is None:
+            return None
+        return (point[0], -point[1] % self.p)
+
+    def from_jac(self, pt) -> Point:
+        """The affine form of a Jacobian point (one field inversion)."""
+        x, y, z = pt
+        if z == 0:
+            return None
+        p = self.p
+        zi = pow(z, -1, p)
+        zi2 = (zi * zi) % p
+        return ((x * zi2) % p, (y * zi2 * zi) % p)
+
+    def add(self, p1: Point, p2: Point) -> Point:
+        """Affine addition (via one Jacobian round trip)."""
+        if p1 is None:
+            return p2
+        if p2 is None:
+            return p1
+        return self.from_jac(self.jac_add((p1[0], p1[1], 1), (p2[0], p2[1], 1)))
+
+    def double_and_add(self, point: Tuple[int, int], scalar: int) -> Point:
+        """``scalar · point`` by binary double-and-add, for ``scalar ≥ 0``.
+
+        The scalar is not reduced mod the order, so ``order · G`` really
+        walks to infinity.  :meth:`mul` takes this ladder for scalars no
+        wider than a GLV component; it is also the reference that the
+        GLV set-up and the differential tests check the fast paths
+        against.
+        """
+        jac_add, jac_double = self.jac_add, self.jac_double
+        acc = (0, 1, 0)
+        addend = (point[0], point[1], 1)
+        while scalar:
+            if scalar & 1:
+                acc = jac_add(acc, addend)
+            addend = jac_double(addend)
+            scalar >>= 1
+        return self.from_jac(acc)
+
+    def glv(self) -> Tuple[GLVParams, int]:
+        """The GLV parameters and the β that realizes their λ (lazy).
+
+        λ and β are primitive cube roots of unity mod n and mod p; each
+        λ matches exactly one of the two β candidates, so the pairing is
+        fixed by checking φ(G) = λ·G against :meth:`double_and_add`
+        once.
+        """
+        if self._glv is None:
+            p = self.p
+            params = GLVParams.for_order(self.order)
+            x, y = self.generator
+            target = self.double_and_add(self.generator, params.lam)
+            beta = cube_root_of_unity(p)
+            if (beta * x % p, y) != target:
+                beta = beta * beta % p
+            if (beta * x % p, y) != target:
+                raise ArithmeticError("no cube root of unity realizes phi(G) = lam*G")
+            self._glv = (params, beta)
+        return self._glv
+
+    def mul(self, point: Point, scalar: int) -> Point:
+        """``scalar · point``, the scalar taken mod the group order.
+
+        A scalar wider than the GLV component bound splits into
+        k₁ + k₂·λ ≡ k (mod n), two ~half-width components that run as
+        one interleaved (Shamir) ladder over P and φ(P), halving the
+        doubling count.  Narrower scalars take :meth:`double_and_add`.
+        """
+        scalar %= self.order
+        if point is None or scalar == 0:
+            return None
+        params, beta = self.glv()
+        if scalar.bit_length() <= params.max_component_bits():
+            return self.double_and_add(point, scalar)
+        p = self.p
+        jac_add, jac_double = self.jac_add, self.jac_double
+        k1, k2 = params.decompose(scalar)
+        x, y = point
+        p1 = (x, y if k1 > 0 else -y % p, 1)
+        p2 = (x * beta % p, y if k2 > 0 else -y % p, 1)
+        k1, k2 = abs(k1), abs(k2)
+        p12 = jac_add(p1, p2)
+        acc = (0, 1, 0)
+        for i in range(max(k1.bit_length(), k2.bit_length()) - 1, -1, -1):
+            acc = jac_double(acc)
+            b1 = (k1 >> i) & 1
+            b2 = (k2 >> i) & 1
+            if b1:
+                acc = jac_add(acc, p12 if b2 else p1)
+            elif b2:
+                acc = jac_add(acc, p2)
+        return self.from_jac(acc)
+
+    def fixed_base(self, point: Tuple[int, int], window: int) -> "FixedBaseTable":
+        """A :class:`FixedBaseTable` of ``window``-bit windows for ``point``."""
+        return FixedBaseTable(
+            point,
+            self.jac_add,
+            self.jac_double,
+            self.from_jac,
+            _affine_to_jac,
+            window,
+            self.order,
+        )
+
+
+class FixedBaseTable:
+    """Windowed precomputation for many scalar mults of one fixed base.
+
+    Row i holds the multiples ``j · 2^(i·w) · B`` for ``j ∈ [1, 2^w)``,
+    one row per w-bit window of a scalar below ``order``; a scalar
+    multiplication then costs at most one Jacobian addition per window
+    (~32 for a 254-bit order at w = 8) instead of a double-and-add
+    ladder.  Rows are stored in Jacobian coordinates so the build needs
+    no field inversions.  The group law comes in as functions, so G2
+    builds its tables over raw FQ2 coordinates.
+    """
+
+    def __init__(
+        self, point, jac_add, jac_double, from_jac, to_jac, window: int, order: int
+    ) -> None:
+        self._jac_add = jac_add
+        self._from_jac = from_jac
+        self.window = window
+        self.order = order
+        self.point = point
+        mask = (1 << window) - 1
+        self._mask = mask
+        num_windows = (order.bit_length() + window - 1) // window
+        table: List[list] = []
+        base = to_jac(point)
+        for _ in range(num_windows):
+            row = [base]
+            cur = base
+            for _ in range(mask - 1):
+                cur = jac_add(cur, base)
+                row.append(cur)
+            table.append(row)
+            for _ in range(window):
+                base = jac_double(base)
+        self._table = table
+
+    def mul_jac(self, scalar: int):
+        """The scalar multiple in Jacobian coordinates (or None)."""
+        scalar %= self.order
+        if scalar == 0:
+            return None
+        jac_add = self._jac_add
+        mask = self._mask
+        window = self.window
+        acc = None
+        for row in self._table:
+            d = scalar & mask
+            scalar >>= window
+            if d:
+                entry = row[d - 1]
+                acc = entry if acc is None else jac_add(acc, entry)
+            if not scalar:
+                break
+        return acc
+
+    def mul(self, scalar: int):
+        """The affine scalar multiple of the fixed base."""
+        acc = self.mul_jac(scalar)
+        if acc is None:
+            return None
+        return self._from_jac(acc)

@@ -18,7 +18,7 @@ preprocessing SNARK implemented from first principles:
 
 from repro.zksnark.backend import CircuitDefinition, KeyPair, Proof, ProvingBackend, get_backend
 from repro.zksnark.circuit import ConstraintSystem, LinearCombination, Variable
-from repro.zksnark.field import FR, FieldElement, PrimeField
+from repro.zksnark.field import FR, PrimeField
 from repro.zksnark.groth16 import Groth16Backend
 from repro.zksnark.mock import MockBackend
 from repro.zksnark.service import ProvingService
@@ -33,7 +33,6 @@ __all__ = [
     "LinearCombination",
     "Variable",
     "FR",
-    "FieldElement",
     "PrimeField",
     "Groth16Backend",
     "MockBackend",

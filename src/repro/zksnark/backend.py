@@ -152,19 +152,6 @@ class Proof:
 
 
 @dataclass
-class VerifyingKey:
-    """Opaque verification material plus the circuit digest it binds to."""
-
-    backend: str
-    circuit_digest: bytes
-    num_public: int
-    payload: Any
-
-    def size_bytes(self) -> int:
-        raise NotImplementedError
-
-
-@dataclass
 class KeyPair:
     """Setup output: proving key and verification key."""
 

@@ -1,44 +1,48 @@
 """BN128 group operations.
 
-G1 points are affine ``(x, y)`` int pairs (or ``None`` for infinity) on
-``y² = x³ + 3`` over FQ; G2 points are affine pairs of :class:`FQ2` on
-the twist ``y² = x³ + 3/(9+i)``.  Scalar multiplication runs in
-Jacobian coordinates (no field inversions), and repeated
-multiplications of a fixed base go through precomputed windowed tables
-(:class:`FixedBaseTable`).  Multi-scalar multiplication is Pippenger
-with signed window digits and affine buckets: each batch of bucket
-additions shares one field inversion (Montgomery's trick), and only
-the final combination of the windows runs in Jacobian coordinates.
+G1 is :data:`BN254_G1`, which runs on the a = 0 curve core of
+:mod:`repro.crypto.weierstrass` that secp256k1 shares: affine ``(x, y)``
+int pairs (or ``None`` for infinity) on ``y² = x³ + 3`` over FQ,
+Jacobian double/add, scalar multiplication split by the GLV
+endomorphism φ(x, y) = (βx, y), and fixed-base tables
+(:class:`FixedBaseTable`).  G2 points are affine pairs of :class:`FQ2`
+on the twist ``y² = x³ + 3/(9+i)``; the G2 hot path runs on raw
+``(c0, c1)`` int pairs with 3-multiply Karatsuba FQ2 products rather
+than boxed :class:`FQ2` instances, and its fixed-base tables are the
+same class over those raw operations.
 
-G1 scalar multiplication and MSM split every scalar wider than the GLV
-component bound into two half-width components via the endomorphism
-φ(x, y) = (βx, y).  The G2 hot path runs on raw ``(c0, c1)`` int pairs
-with 3-multiply Karatsuba FQ2 products rather than boxed :class:`FQ2`
-instances.  Every fast path is pinned to the naive oracles by the
+Multi-scalar multiplication is Pippenger with signed window digits and
+affine buckets: each batch of bucket additions shares one field
+inversion (Montgomery's trick), and only the final combination of the
+windows runs in Jacobian coordinates.  A G1 MSM first splits every
+scalar wider than the GLV component bound into two half-width
+components.  Every fast path is pinned to the naive oracles by the
 differential sweep.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro import observability as obs
+from repro.crypto.weierstrass import FixedBaseTable, WeierstrassCurve
 from repro.zksnark.bn128.fq import CURVE_ORDER, FIELD_MODULUS, fq_from_bytes
 from repro.zksnark.bn128.fq2 import FQ2
-from repro.zksnark.bn128.glv import GLVParams, cube_root_of_unity
 
 _Q = FIELD_MODULUS
 
 G1Point = Optional[Tuple[int, int]]
 G2Point = Optional[Tuple[FQ2, FQ2]]
 
-#: Curve coefficient b for G1.
-B1 = 3
 #: Twist coefficient b2 = 3 / (9 + i) for G2.
 B2 = FQ2(3, 0) / FQ2(9, 1)
 
+#: G1: y² = x³ + 3 over FQ, of prime order r.  Its cofactor is 1, so
+#: the curve equation alone is the subgroup check (:func:`is_on_g1`).
+BN254_G1 = WeierstrassCurve(FIELD_MODULUS, 3, CURVE_ORDER, (1, 2))
+
 #: Canonical generators (matching Ethereum's alt_bn128 precompiles).
-G1: G1Point = (1, 2)
+G1: G1Point = BN254_G1.generator
 G2: G2Point = (
     FQ2(
         10857046999023057135944570762232829481370756359578518086990519993285655852781,
@@ -50,17 +54,10 @@ G2: G2Point = (
     ),
 )
 
-
-def is_on_g1(point: G1Point) -> bool:
-    """Membership test for G1 (affine curve equation).
-
-    G1 has cofactor 1, so the curve equation alone IS the subgroup
-    check.
-    """
-    if point is None:
-        return True
-    x, y = point
-    return (y * y - x * x * x - B1) % _Q == 0
+g1_add = BN254_G1.add
+g1_mul = BN254_G1.mul
+g1_neg = BN254_G1.neg
+is_on_g1 = BN254_G1.is_on_curve
 
 
 def is_on_g2(point: G2Point) -> bool:
@@ -91,179 +88,6 @@ def is_in_g2_subgroup(point: G2Point) -> bool:
     if not is_on_g2(point):
         return False
     return _g2r_is_zero(_g2r_jac_mul(_g2_to_raw(point), CURVE_ORDER))
-
-
-def g1_neg(point: G1Point) -> G1Point:
-    if point is None:
-        return None
-    return (point[0], -point[1] % _Q)
-
-
-# ----- G1 Jacobian core ----------------------------------------------------------
-
-
-def _g1_jac_double(pt):
-    x, y, z = pt
-    if y == 0 or z == 0:
-        return (0, 1, 0)
-    ysq = (y * y) % _Q
-    s = (4 * x * ysq) % _Q
-    m = (3 * x * x) % _Q
-    nx = (m * m - 2 * s) % _Q
-    ny = (m * (s - nx) - 8 * ysq * ysq) % _Q
-    nz = (2 * y * z) % _Q
-    return (nx, ny, nz)
-
-
-def _g1_jac_add(p1, p2):
-    if p1[2] == 0:
-        return p2
-    if p2[2] == 0:
-        return p1
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
-    # Mixed-add shortcut: ladders, table walks and the MSM's window
-    # combination feed one affine (z = 1) operand most of the time,
-    # saving four of the sixteen field multiplies.
-    if z2 == 1:
-        u1, s1 = x1, y1
-        z1sq = (z1 * z1) % _Q
-        u2 = (x2 * z1sq) % _Q
-        s2 = (y2 * z1sq * z1) % _Q
-        zz = z1
-    elif z1 == 1:
-        u2, s2 = x2, y2
-        z2sq = (z2 * z2) % _Q
-        u1 = (x1 * z2sq) % _Q
-        s1 = (y1 * z2sq * z2) % _Q
-        zz = z2
-    else:
-        z1sq = (z1 * z1) % _Q
-        z2sq = (z2 * z2) % _Q
-        u1 = (x1 * z2sq) % _Q
-        u2 = (x2 * z1sq) % _Q
-        s1 = (y1 * z2sq * z2) % _Q
-        s2 = (y2 * z1sq * z1) % _Q
-        zz = (z1 * z2) % _Q
-    if u1 == u2:
-        if s1 != s2:
-            return (0, 1, 0)
-        return _g1_jac_double(p1)
-    h = (u2 - u1) % _Q
-    r = (s2 - s1) % _Q
-    h2 = (h * h) % _Q
-    h3 = (h * h2) % _Q
-    u1h2 = (u1 * h2) % _Q
-    nx = (r * r - h3 - 2 * u1h2) % _Q
-    ny = (r * (u1h2 - nx) - s1 * h3) % _Q
-    nz = (h * zz) % _Q
-    return (nx, ny, nz)
-
-
-def _g1_from_jac(pt) -> G1Point:
-    x, y, z = pt
-    if z == 0:
-        return None
-    zi = pow(z, -1, _Q)
-    zi2 = (zi * zi) % _Q
-    return ((x * zi2) % _Q, (y * zi2 * zi) % _Q)
-
-
-# ----- GLV endomorphism (G1) ------------------------------------------------------
-
-_G1_GLV: Optional[Tuple[GLVParams, int]] = None
-
-
-def _g1_glv() -> Tuple[GLVParams, int]:
-    """Lazily paired (GLV parameters, β) with φ(G) = λ·G verified.
-
-    λ and β are primitive cube roots of unity mod r and mod q; each λ
-    matches exactly one of the two β candidates, so the pairing is
-    fixed by checking the endomorphism against a classic double-and-add
-    of the generator once.
-    """
-    global _G1_GLV
-    if _G1_GLV is None:
-        params = GLVParams.for_order(CURVE_ORDER)
-        acc, addend, k = (0, 1, 0), (G1[0], G1[1], 1), params.lam
-        while k:
-            if k & 1:
-                acc = _g1_jac_add(acc, addend)
-            addend = _g1_jac_double(addend)
-            k >>= 1
-        target = _g1_from_jac(acc)
-        beta = cube_root_of_unity(FIELD_MODULUS)
-        if (beta * G1[0] % _Q, G1[1]) != target:
-            beta = beta * beta % _Q
-        if (beta * G1[0] % _Q, G1[1]) != target:
-            raise ArithmeticError("no cube root of unity realizes phi(G) = lam*G")
-        _G1_GLV = (params, beta)
-    return _G1_GLV
-
-
-def _glv_expand_pairs(pairs):
-    """Split each (affine point, scalar) into two half-width pairs.
-
-    Signs fold into point negation so Pippenger only ever sees
-    non-negative scalars; k₁ + k₂λ ≡ k (mod r) holds exactly, so the
-    expansion never changes the MSM value.
-    """
-    params, beta = _g1_glv()
-    out = []
-    for (x, y), s in pairs:
-        k1, k2 = params.decompose(s)
-        if k1:
-            out.append(((x, y if k1 > 0 else -y % _Q), abs(k1)))
-        if k2:
-            out.append(((x * beta % _Q, y if k2 > 0 else -y % _Q), abs(k2)))
-    return out
-
-
-def g1_add(p1: G1Point, p2: G1Point) -> G1Point:
-    """Affine G1 addition (via one Jacobian round trip)."""
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    return _g1_from_jac(_g1_jac_add((p1[0], p1[1], 1), (p2[0], p2[1], 1)))
-
-
-def g1_mul(point: G1Point, scalar: int) -> G1Point:
-    """Scalar multiplication on G1.
-
-    Jacobian double-and-add.  A scalar wider than the GLV component
-    bound splits into two ~half-width components that run as an
-    interleaved (Shamir) ladder, halving the doubling count.
-    """
-    scalar %= CURVE_ORDER
-    if point is None or scalar == 0:
-        return None
-    params, beta = _g1_glv()
-    if scalar.bit_length() > params.max_component_bits():
-        k1, k2 = params.decompose(scalar)
-        x, y = point
-        p1 = (x, y if k1 > 0 else -y % _Q, 1)
-        p2 = (x * beta % _Q, y if k2 > 0 else -y % _Q, 1)
-        k1, k2 = abs(k1), abs(k2)
-        p12 = _g1_jac_add(p1, p2)
-        acc = (0, 1, 0)
-        for i in range(max(k1.bit_length(), k2.bit_length()) - 1, -1, -1):
-            acc = _g1_jac_double(acc)
-            b1 = (k1 >> i) & 1
-            b2 = (k2 >> i) & 1
-            if b1:
-                acc = _g1_jac_add(acc, p12 if b2 else p1)
-            elif b2:
-                acc = _g1_jac_add(acc, p2)
-        return _g1_from_jac(acc)
-    acc = (0, 1, 0)
-    addend = (point[0], point[1], 1)
-    while scalar:
-        if scalar & 1:
-            acc = _g1_jac_add(acc, addend)
-        addend = _g1_jac_double(addend)
-        scalar >>= 1
-    return _g1_from_jac(acc)
 
 
 # ----- G2 Jacobian core (raw int pairs) -------------------------------------------
@@ -694,6 +518,24 @@ def _msm_pairs(points, scalars, to_raw):
     return pairs
 
 
+def _glv_expand_pairs(pairs):
+    """Split each (affine point, scalar) into two half-width pairs.
+
+    Signs fold into point negation so Pippenger only ever sees
+    non-negative scalars; k₁ + k₂λ ≡ k (mod r) holds exactly, so the
+    expansion never changes the MSM value.
+    """
+    params, beta = BN254_G1.glv()
+    out = []
+    for (x, y), s in pairs:
+        k1, k2 = params.decompose(s)
+        if k1:
+            out.append(((x, y if k1 > 0 else -y % _Q), abs(k1)))
+        if k2:
+            out.append(((x * beta % _Q, y if k2 > 0 else -y % _Q), abs(k2)))
+    return out
+
+
 def g1_msm(points, scalars) -> G1Point:
     """Multi-scalar multiplication Σ s_i·P_i on G1 (Pippenger).
 
@@ -708,7 +550,7 @@ def g1_msm(points, scalars) -> G1Point:
         return None
     if len(pairs) == 1:
         return g1_mul(*pairs[0])
-    params, _ = _g1_glv()
+    params, _ = BN254_G1.glv()
     if max(s.bit_length() for _, s in pairs) > params.max_component_bits():
         pairs = _glv_expand_pairs(pairs)
     total = _pippenger_affine(
@@ -716,11 +558,11 @@ def g1_msm(points, scalars) -> G1Point:
         g1_neg,
         _g1_batch_add,
         lambda p: p + (1,),
-        _g1_jac_add,
-        _g1_jac_double,
+        BN254_G1.jac_add,
+        BN254_G1.jac_double,
         (0, 1, 0),
     )
-    return _g1_from_jac(total)
+    return BN254_G1.from_jac(total)
 
 
 def g1_msm_naive(points, scalars) -> G1Point:
@@ -733,20 +575,12 @@ def g1_msm_naive(points, scalars) -> G1Point:
         raise ValueError(
             f"MSM length mismatch: {len(points)} points vs {len(scalars)} scalars"
         )
-    acc = (0, 1, 0)
+    acc: G1Point = None
     for point, scalar in zip(points, scalars):
         scalar %= CURVE_ORDER
-        if point is None or scalar == 0:
-            continue
-        addend = (point[0], point[1], 1)
-        partial = (0, 1, 0)
-        while scalar:
-            if scalar & 1:
-                partial = _g1_jac_add(partial, addend)
-            addend = _g1_jac_double(addend)
-            scalar >>= 1
-        acc = _g1_jac_add(acc, partial)
-    return _g1_from_jac(acc)
+        if point is not None and scalar:
+            acc = g1_add(acc, BN254_G1.double_and_add(point, scalar))
+    return acc
 
 
 def g2_msm(points, scalars) -> G2Point:
@@ -792,79 +626,21 @@ def g2_msm_naive(points, scalars) -> G2Point:
 # ----- Fixed-base windowed precomputation ----------------------------------------
 
 
-class FixedBaseTable:
-    """Windowed precomputation for many scalar mults of one fixed base.
-
-    Row i holds the odd/even multiples ``j · 2^(i·w) · B`` for
-    ``j ∈ [1, 2^w)``; a 254-bit scalar multiplication then costs one
-    Jacobian addition per window (~32 for w=8) instead of ~380
-    double/add steps.  Rows are stored in Jacobian coordinates so the
-    build needs no field inversions.
-    """
-
-    def __init__(self, point, jac_add, jac_double, from_jac, to_jac, window: int) -> None:
-        self._jac_add = jac_add
-        self._from_jac = from_jac
-        self.window = window
-        self.point = point
-        mask = (1 << window) - 1
-        self._mask = mask
-        num_windows = (CURVE_ORDER.bit_length() + window - 1) // window
-        table: List[list] = []
-        base = to_jac(point)
-        for _ in range(num_windows):
-            row = [base]
-            cur = base
-            for _ in range(mask - 1):
-                cur = jac_add(cur, base)
-                row.append(cur)
-            table.append(row)
-            for _ in range(window):
-                base = jac_double(base)
-        self._table = table
-
-    def mul_jac(self, scalar: int):
-        """The scalar multiple in Jacobian coordinates (or None)."""
-        scalar %= CURVE_ORDER
-        if scalar == 0:
-            return None
-        acc = None
-        mask = self._mask
-        window = self.window
-        for row in self._table:
-            d = scalar & mask
-            scalar >>= window
-            if d:
-                entry = row[d - 1]
-                acc = entry if acc is None else self._jac_add(acc, entry)
-            if not scalar:
-                break
-        return acc
-
-    def mul(self, scalar: int):
-        """The affine scalar multiple of the fixed base."""
-        acc = self.mul_jac(scalar)
-        if acc is None:
-            return None
-        return self._from_jac(acc)
-
-
 def g1_fixed_base(point: G1Point, window: int = 8) -> FixedBaseTable:
     """Build a fixed-base table for a G1 point."""
-    return FixedBaseTable(
-        point,
-        _g1_jac_add,
-        _g1_jac_double,
-        _g1_from_jac,
-        lambda p: (p[0], p[1], 1),
-        window,
-    )
+    return BN254_G1.fixed_base(point, window)
 
 
 def g2_fixed_base(point: G2Point, window: int = 7) -> FixedBaseTable:
     """Build a fixed-base table for a G2 point."""
     return FixedBaseTable(
-        point, _g2r_jac_add, _g2r_jac_double, _g2r_from_jac, _g2_to_raw, window
+        point,
+        _g2r_jac_add,
+        _g2r_jac_double,
+        _g2r_from_jac,
+        _g2_to_raw,
+        window,
+        CURVE_ORDER,
     )
 
 

@@ -18,28 +18,6 @@ CURVE_ORDER = (
 )
 
 
-def fq_add(a: int, b: int) -> int:
-    return (a + b) % FIELD_MODULUS
-
-
-def fq_sub(a: int, b: int) -> int:
-    return (a - b) % FIELD_MODULUS
-
-
-def fq_mul(a: int, b: int) -> int:
-    return (a * b) % FIELD_MODULUS
-
-
-def fq_inv(a: int) -> int:
-    if a % FIELD_MODULUS == 0:
-        raise ZeroDivisionError("inverse of zero in FQ")
-    return pow(a, -1, FIELD_MODULUS)
-
-
-def fq_neg(a: int) -> int:
-    return -a % FIELD_MODULUS
-
-
 def fq_from_bytes(data: bytes) -> int:
     """Decode a canonical 32-byte big-endian FQ element.
 

@@ -2,8 +2,7 @@
 
 :class:`PrimeField` is a lightweight field descriptor; circuit code works
 with plain Python ints reduced modulo the field order (for speed inside
-the prover's hot loops) while :class:`FieldElement` offers an ergonomic
-wrapper for user-facing code and tests.
+the prover's hot loops).
 
 ``FR`` is the BN128 *scalar* field — the field R1CS constraints live in,
 and also the base field of the embedded Baby-Jubjub curve.
@@ -11,17 +10,11 @@ and also the base field of the embedded Baby-Jubjub curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 #: BN128 group order (a.k.a. the scalar field / circuit field modulus).
 BN128_SCALAR_FIELD = (
     21888242871839275222246405745257275088548364400416034343698204186575808495617
-)
-
-#: BN128 base-field modulus (coordinates of G1 points live here).
-BN128_BASE_FIELD = (
-    21888242871839275222246405745257275088696311157297823662689037894645226208583
 )
 
 
@@ -36,9 +29,6 @@ class PrimeField:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PrimeField({self.name}, bits={self.modulus.bit_length()})"
-
-    def reduce(self, value: int) -> int:
-        return value % self.modulus
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.modulus
@@ -62,15 +52,6 @@ class PrimeField:
 
     def exp(self, a: int, e: int) -> int:
         return pow(a, e, self.modulus)
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value % self.modulus)
-
-    def zero(self) -> "FieldElement":
-        return self.element(0)
-
-    def one(self) -> "FieldElement":
-        return self.element(1)
 
     def sum(self, values: Iterable[int]) -> int:
         total = 0
@@ -107,93 +88,5 @@ class PrimeField:
         return value
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An immutable element of a :class:`PrimeField` with operator sugar."""
-
-    field: PrimeField
-    value: int
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field.modulus != self.field.modulus:
-                raise ValueError("field mismatch")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.modulus
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, (self.value + v) % self.field.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, (self.value - v) % self.field.modulus)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, (v - self.value) % self.field.modulus)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, (self.value * v) % self.field.modulus)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.value, v))
-
-    def __neg__(self):
-        return FieldElement(self.field, -self.value % self.field.modulus)
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            # Route through field.inv so 0 ** -n raises ZeroDivisionError
-            # (matching division) instead of CPython's bare ValueError.
-            base = self.field.inv(self.value)
-            return FieldElement(
-                self.field, pow(base, -exponent, self.field.modulus)
-            )
-        return FieldElement(self.field, pow(self.value, exponent, self.field.modulus))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return (
-                self.field.modulus == other.field.modulus and self.value == other.value
-            )
-        if isinstance(other, int):
-            return self.value == other % self.field.modulus
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.modulus, self.value))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Fp({self.value})"
-
-
 #: The BN128 scalar field: every R1CS constraint in this library is over FR.
 FR = PrimeField(BN128_SCALAR_FIELD, name="BN128-Fr")
-
-#: The BN128 base field (used by the pairing tower in :mod:`repro.zksnark.bn128`).
-FQ_FIELD = PrimeField(BN128_BASE_FIELD, name="BN128-Fq")

@@ -1,0 +1,244 @@
+"""The from-scratch primitives against independent implementations.
+
+- secp256k1 ECDSA against OpenSSL, through the ``cryptography`` package:
+  key derivation, and signatures verified in both directions, with
+  public-key recovery landing on OpenSSL's key.
+- The shared a = 0 curve core (secp256k1 and BN254 G1) against sympy's
+  ``EllipticCurve``: scalar multiplication on both sides of the GLV
+  switch point, addition and fixed-base tables.
+- Keccak-f[1600] against ``hashlib``'s SHA-3, which runs the same
+  permutation with the FIPS-202 domain byte 0x06.
+
+``cryptography`` and ``sympy`` come with the ``dev`` extra; a lane
+without them skips their cases.
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import random
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+from repro.crypto import ecdsa
+from repro.crypto.hashing import sha256
+from repro.crypto.keccak import keccak_f1600
+from repro.errors import SignatureError
+from repro.zksnark.bn128.curve import BN254_G1, g1_generator_table
+
+try:
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives import hashes
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.hazmat.primitives.asymmetric.utils import (
+        Prehashed,
+        decode_dss_signature,
+        encode_dss_signature,
+    )
+except ImportError:  # pragma: no cover - the dev extra installs it
+    ec = None
+
+try:
+    from sympy.ntheory.elliptic_curve import EllipticCurve
+except ImportError:  # pragma: no cover - the dev extra installs it
+    EllipticCurve = None
+
+needs_openssl = pytest.mark.skipif(ec is None, reason="needs cryptography")
+needs_sympy = pytest.mark.skipif(EllipticCurve is None, reason="needs sympy")
+
+
+# ----- secp256k1 ECDSA against OpenSSL -------------------------------------------
+
+
+def _private_keys() -> list:
+    rng = random.Random(21001)
+    return [1, 2, ecdsa.N - 1] + [rng.randrange(1, ecdsa.N) for _ in range(9)]
+
+
+def _digest(i: int) -> bytes:
+    return sha256(b"openssl-oracle", i.to_bytes(4, "big"))
+
+
+def _openssl_public_key(public_key):
+    x, y = public_key
+    return ec.EllipticCurvePublicNumbers(x, y, ec.SECP256K1()).public_key()
+
+
+def _prehashed():
+    return ec.ECDSA(Prehashed(hashes.SHA256()))
+
+
+def _low_s(signature: bytes):
+    r, s = decode_dss_signature(signature)
+    return r, min(s, ecdsa.N - s)
+
+
+@needs_openssl
+def test_public_key_matches_openssl() -> None:
+    for d in _private_keys():
+        numbers = ec.derive_private_key(d, ec.SECP256K1()).public_key().public_numbers()
+        assert ecdsa.ECDSAKeyPair(d).public_key == (numbers.x, numbers.y)
+
+
+@needs_openssl
+def test_signatures_verify_under_openssl() -> None:
+    for i, d in enumerate(_private_keys()):
+        key = ecdsa.ECDSAKeyPair(d)
+        digest = _digest(i)
+        sig = key.sign(digest)
+        der = encode_dss_signature(sig.r, sig.s)
+        _openssl_public_key(key.public_key).verify(der, digest, _prehashed())
+        with pytest.raises(InvalidSignature):
+            _openssl_public_key(key.public_key).verify(der, _digest(i + 1), _prehashed())
+
+
+@needs_openssl
+def test_openssl_signatures_verify_and_recover_here() -> None:
+    for i, d in enumerate(_private_keys()):
+        private = ec.derive_private_key(d, ec.SECP256K1())
+        numbers = private.public_key().public_numbers()
+        public_key = (numbers.x, numbers.y)
+        digest = _digest(i)
+        r, s = _low_s(private.sign(digest, _prehashed()))
+        assert ecdsa.verify(public_key, digest, ecdsa.ECDSASignature(r, s, 0))
+        assert not ecdsa.verify(public_key, _digest(i + 1), ecdsa.ECDSASignature(r, s, 0))
+        recovered = []
+        for v in (0, 1):
+            try:
+                recovered.append(
+                    ecdsa.recover_public_key(digest, ecdsa.ECDSASignature(r, s, v))
+                )
+            except SignatureError:
+                pass
+        assert recovered.count(public_key) == 1
+
+
+# ----- the a = 0 curve core against sympy -------------------------------------------
+
+_CURVES = {"secp256k1": ecdsa.SECP256K1, "bn254": BN254_G1}
+
+#: The fixed-base path of each curve: secp256k1's window-4 generator
+#: table behind ``point_mul``, and G1's window-8 generator table.
+_FIXED_BASE = {
+    "secp256k1": lambda k: ecdsa.point_mul(k, ecdsa.GENERATOR),
+    "bn254": lambda k: g1_generator_table().mul(k),
+}
+
+
+def _from_sympy(point):
+    if int(point.z) == 0:
+        return None
+    return (int(point.x), int(point.y))
+
+
+@functools.lru_cache(maxsize=None)
+def _sympy_generator(name: str):
+    curve = _CURVES[name]
+    return EllipticCurve(0, curve.b, modulus=curve.p)(*curve.generator)
+
+
+@functools.lru_cache(maxsize=None)
+def _sympy_mul(name: str, base: int, k: int):
+    """``k · (base · G)`` on sympy's curve, as an affine pair or None."""
+    return _from_sympy(_sympy_generator(name) * base * k)
+
+
+def _scalar(name: str, kind: str) -> int:
+    curve = _CURVES[name]
+    params, _ = curve.glv()
+    bits = params.max_component_bits()
+    rng = random.Random(f"sympy-{name}-{kind}")
+    if kind == "bound":
+        return (1 << (bits - 1)) | rng.getrandbits(bits - 1)
+    if kind == "bound+1":
+        return (1 << bits) | rng.getrandbits(bits)
+    if kind == "order-1":
+        return curve.order - 1
+    if kind == "lambda":
+        return params.lam
+    return rng.randrange(curve.order >> 1, curve.order)
+
+
+#: A small multiplier of G, so that the variable-base cases run on a
+#: point other than the generator.
+_BASE = 0xC0FFEE
+
+
+@needs_sympy
+@pytest.mark.parametrize("kind", ["bound", "bound+1", "order-1", "lambda", "full"])
+@pytest.mark.parametrize("name", sorted(_CURVES))
+def test_mul_matches_sympy(name: str, kind: str) -> None:
+    curve = _CURVES[name]
+    point = _sympy_mul(name, _BASE, 1)
+    k = _scalar(name, kind)
+    assert curve.is_on_curve(point)
+    assert curve.mul(point, k) == _sympy_mul(name, _BASE, k)
+
+
+@needs_sympy
+@pytest.mark.parametrize("name", sorted(_CURVES))
+def test_add_matches_sympy(name: str) -> None:
+    curve = _CURVES[name]
+    gen = _sympy_generator(name)
+    p_sym, q_sym = gen * 0xBEEF, gen * 0xFACADE
+    p, q = _from_sympy(p_sym), _from_sympy(q_sym)
+    assert curve.add(p, q) == _from_sympy(p_sym + q_sym)
+    assert curve.add(p, p) == _from_sympy(p_sym + p_sym)
+    assert curve.neg(p) == _from_sympy(-p_sym)
+    assert _from_sympy(p_sym + -p_sym) is None
+    assert curve.add(p, curve.neg(p)) is None
+    assert curve.add(None, p) == p and curve.add(p, None) == p
+
+
+@needs_sympy
+@pytest.mark.parametrize("kind", ["order-1", "full"])
+@pytest.mark.parametrize("name", sorted(_CURVES))
+def test_fixed_base_mul_matches_sympy(name: str, kind: str) -> None:
+    # Both scalars fill the top window, which a short table would miss.
+    k = _scalar(name, kind)
+    assert _FIXED_BASE[name](k) == _sympy_mul(name, 1, k)
+
+
+@needs_sympy
+@pytest.mark.parametrize("name", sorted(_CURVES))
+def test_order_times_generator_is_infinity(name: str) -> None:
+    curve = _CURVES[name]
+    assert curve.is_on_curve(curve.generator)
+    # (n − 1)·G = −G in sympy, i.e. n·G = O there.
+    assert _sympy_mul(name, 1, curve.order - 1) == curve.neg(curve.generator)
+    # The unreduced ladder must walk order · G to infinity, too.
+    assert curve.double_and_add(curve.generator, curve.order) is None
+
+
+# ----- Keccak-f[1600] against hashlib's SHA-3 -------------------------------------
+
+
+def _sha3(data: bytes, rate: int, digest_size: int) -> bytes:
+    """FIPS-202 SHA-3: the 0x06-domain sponge around ``keccak_f1600``."""
+    padded = bytearray(data)
+    padding = bytearray(rate - len(padded) % rate)
+    padding[0] = 0x06
+    padding[-1] |= 0x80
+    padded += padding
+    state = [0] * 25
+    for offset in range(0, len(padded), rate):
+        for i in range(0, rate, 8):
+            chunk = padded[offset + i : offset + i + 8]
+            state[i // 8] ^= int.from_bytes(chunk, "little")
+        state = keccak_f1600(state)
+    squeezed = b"".join(lane.to_bytes(8, "little") for lane in state[: rate // 8])
+    return squeezed[:digest_size]
+
+
+@given(st.binary(max_size=500))
+@example(b"")
+@example(b"\xa5" * 71)
+@example(b"\xa5" * 72)
+@example(b"\xa5" * 135)
+@example(b"\xa5" * 136)
+@example(b"\xa5" * 137)
+def test_keccak_f1600_matches_hashlib_sha3(data: bytes) -> None:
+    assert _sha3(data, 136, 32) == hashlib.sha3_256(data).digest()
+    assert _sha3(data, 72, 64) == hashlib.sha3_512(data).digest()

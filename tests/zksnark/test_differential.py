@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro.crypto import ecdsa
+from repro.crypto.glv import GLVParams
 from repro.zksnark import (
     CircuitDefinition,
     ConstraintSystem,
@@ -23,6 +24,7 @@ from repro.zksnark import (
     Proof,
 )
 from repro.zksnark.bn128.curve import (
+    BN254_G1,
     G1,
     G2,
     _g1_batch_add,
@@ -42,7 +44,6 @@ from repro.zksnark.bn128.curve import (
 from repro.zksnark.bn128.fq import CURVE_ORDER
 from repro.zksnark.bn128.fq2 import FQ2
 from repro.zksnark.bn128.fq12 import FQ12
-from repro.zksnark.bn128.glv import GLVParams
 from repro.zksnark.bn128.pairing import (
     multi_pairing,
     multi_pairing_naive,
@@ -451,13 +452,15 @@ def test_g1_paths_match_naive(case: int) -> None:
     assert g1_mul(points[0], k) == g1_msm_naive([points[0]], [k])
 
 
-# ----- the GLV switch point (G1 and secp256k1) -----------------------------------
+# ----- the GLV switch point (BN254 G1 and secp256k1) ------------------------------
 #
-# g1_mul, g1_msm and ecdsa.point_mul take the GLV ladder only above a
-# bit-length threshold; these cases sit exactly on it and one bit over.
+# Both curves' mul, and g1_msm, take the GLV split only for scalars
+# wider than the GLV component bound; these cases sit exactly on it,
+# one bit over, at n − 1 and at λ.
 
-_G1_GLV = GLVParams.for_order(CURVE_ORDER)
-_G1_GLV_BITS = _G1_GLV.max_component_bits()
+_G1_GLV_BITS = GLVParams.for_order(CURVE_ORDER).max_component_bits()
+
+_CURVES = {"bn254": BN254_G1, "secp256k1": ecdsa.SECP256K1}
 
 
 def _scalars_of_width(rng: random.Random, bits: int) -> list:
@@ -465,28 +468,27 @@ def _scalars_of_width(rng: random.Random, bits: int) -> list:
     return [low, high, rng.randrange(low, high)]
 
 
-@pytest.mark.parametrize("kind", ["bound", "bound+1", "r-1", "lambda"])
-def test_g1_glv_switch_point_matches_naive(kind: str) -> None:
-    rng = random.Random(f"glv-switch-{kind}")
+@pytest.mark.parametrize("kind", ["bound", "bound+1", "order-1", "lambda"])
+@pytest.mark.parametrize("name", sorted(_CURVES))
+def test_glv_switch_point_matches_naive(name: str, kind: str) -> None:
+    curve = _CURVES[name]
+    params, _ = curve.glv()
+    rng = random.Random(f"glv-switch-{name}-{kind}")
     if kind == "bound":
-        ks = _scalars_of_width(rng, _G1_GLV_BITS)
+        ks = _scalars_of_width(rng, params.max_component_bits())
     elif kind == "bound+1":
-        ks = _scalars_of_width(rng, _G1_GLV_BITS + 1)
-    elif kind == "r-1":
-        ks = [CURVE_ORDER - 1]
+        ks = _scalars_of_width(rng, params.max_component_bits() + 1)
+    elif kind == "order-1":
+        ks = [curve.order - 1]
     else:
-        ks = [_G1_GLV.lam]
-    points = _g1_points(rng, 3)
+        ks = [params.lam]
+    points = [
+        curve.double_and_add(curve.generator, rng.randrange(1, 2**64))
+        for _ in range(3)
+    ]
     for k in ks:
-        assert g1_mul(points[0], k) == g1_msm_naive([points[0]], [k])
-        # The widest scalar decides the MSM's path; the others stay narrower.
-        scalars = [k, rng.randrange(1, k), rng.randrange(1, 2**64)]
-        assert g1_msm(points, scalars) == g1_msm_naive(points, scalars)
-
-
-@pytest.mark.parametrize("bits", [130, 131])
-def test_ecdsa_glv_switch_point_matches_windowed(bits: int) -> None:
-    rng = random.Random(14000 + bits)
-    point = ecdsa._windowed_mul(rng.randrange(1, ecdsa.N), ecdsa.GENERATOR)
-    for k in _scalars_of_width(rng, bits) + [ecdsa.N - 1]:
-        assert ecdsa.point_mul(k, point) == ecdsa._windowed_mul(k, point)
+        assert curve.mul(points[0], k) == curve.double_and_add(points[0], k)
+        if curve is BN254_G1:
+            # The widest scalar decides the MSM's path; the others stay narrower.
+            scalars = [k, rng.randrange(1, k), rng.randrange(1, 2**64)]
+            assert g1_msm(points, scalars) == g1_msm_naive(points, scalars)

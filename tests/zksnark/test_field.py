@@ -1,11 +1,11 @@
-"""Prime-field axioms and the FieldElement wrapper."""
+"""Prime-field axioms."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.zksnark.field import FR, FieldElement, PrimeField
+from repro.zksnark.field import FR, PrimeField
 
 elements = st.integers(min_value=0, max_value=FR.modulus - 1)
 nonzero = st.integers(min_value=1, max_value=FR.modulus - 1)
@@ -44,29 +44,6 @@ def test_byte_roundtrip() -> None:
     value = 123456789
     assert FR.from_bytes(FR.to_bytes(value)) == value
     assert len(FR.to_bytes(value)) == FR.byte_length()
-
-
-def test_field_element_operators() -> None:
-    a = FR.element(5)
-    b = FR.element(7)
-    assert (a + b).value == 12
-    assert (a * b).value == 35
-    assert (a - b).value == FR.modulus - 2
-    assert (b / a).value == FR.div(7, 5)
-    assert (-a).value == FR.modulus - 5
-    assert (a ** 3).value == 125
-    assert a.inverse() * a == FR.one()
-    assert a + 1 == FR.element(6)
-    assert 1 + a == FR.element(6)
-    assert 10 - a == FR.element(5)
-    assert a == 5
-    assert int(a) == 5
-
-
-def test_field_mismatch_rejected() -> None:
-    other = PrimeField(97)
-    with pytest.raises(ValueError):
-        _ = FR.element(1) + other.element(1)
 
 
 def test_tiny_field_sanity() -> None:

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.crypto.glv import GLVParams, cube_root_of_unity
 from repro.zksnark import Groth16Backend
 from repro.zksnark.backend import get_backend
 from repro.zksnark.bn128.curve import (
@@ -18,7 +19,6 @@ from repro.zksnark.bn128.curve import (
     G1,
 )
 from repro.zksnark.bn128.fq import CURVE_ORDER, FIELD_MODULUS
-from repro.zksnark.bn128.glv import GLVParams, cube_root_of_unity
 from repro.zksnark.service import ProvingService
 
 from tests.zksnark.test_differential import ProductCircuit
@@ -85,11 +85,12 @@ class TestEcdsaGLV:
     def test_point_mul_glv_matches_windowed(self) -> None:
         from repro.crypto import ecdsa
 
+        curve = ecdsa.SECP256K1
         rng = random.Random(7)
-        base = ecdsa._windowed_mul(rng.randrange(1, ecdsa.N), ecdsa.GENERATOR)
+        base = curve.double_and_add(ecdsa.GENERATOR, rng.randrange(1, ecdsa.N))
         for _ in range(6):
             k = rng.randrange(ecdsa.N)
-            assert ecdsa._glv_mul(k, base) == ecdsa._windowed_mul(k, base)
+            assert curve.mul(base, k) == curve.double_and_add(base, k)
 
     def test_sign_verify_roundtrip_on_public_key_multiples(self) -> None:
         from repro.crypto import ecdsa
@@ -102,9 +103,8 @@ class TestEcdsaGLV:
         # Verification multiplies the public key by a full-width scalar;
         # both ladders must agree on that multiple.
         k = int.from_bytes(digest, "big") % ecdsa.N
-        assert ecdsa._glv_mul(k, key.public_key) == ecdsa._windowed_mul(
-            k, key.public_key
-        )
+        curve = ecdsa.SECP256K1
+        assert curve.mul(key.public_key, k) == curve.double_and_add(key.public_key, k)
 
 
 # ----- warm-CRS proving service ---------------------------------------------------
