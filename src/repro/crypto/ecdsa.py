@@ -38,8 +38,9 @@ def point_mul(scalar: int, point: Point) -> Point:
     """Scalar multiplication on secp256k1.
 
     Generator multiples (every signature, public key, and half of each
-    recovery) walk a fixed-base table of 64 4-bit windows, built on
-    first use: at most 64 additions in place of ~256 doublings.  Other
+    recovery) walk a fixed-base table of 4-bit signed-digit windows (65
+    rows, the last for the top carry), built on first use: at most 65
+    mixed additions in place of ~256 doublings.  Other
     points (signature recovery, verification) take
     :meth:`WeierstrassCurve.mul`, whose GLV split halves the doubling
     count of a full-width scalar.
@@ -100,6 +101,7 @@ class ECDSAKeyPair:
             raise SignatureError("private key out of range")
         self.private_key = private_key
         self.public_key: Tuple[int, int] = point_mul(private_key, GENERATOR)  # type: ignore[assignment]
+        self._address: Optional[bytes] = None
 
     @classmethod
     def from_seed(cls, seed: bytes) -> "ECDSAKeyPair":
@@ -115,8 +117,14 @@ class ECDSAKeyPair:
         return x.to_bytes(32, "big") + y.to_bytes(32, "big")
 
     def address(self) -> bytes:
-        """Ethereum-style 20-byte address: keccak256(pubkey)[12:]."""
-        return keccak256(self.public_key_bytes())[12:]
+        """Ethereum-style 20-byte address: keccak256(pubkey)[12:].
+
+        Hashed once per key pair, as a client derives its own address
+        once: miners ask for theirs on every block they seal.
+        """
+        if self._address is None:
+            self._address = keccak256(self.public_key_bytes())[12:]
+        return self._address
 
     def sign(self, message_hash: bytes) -> ECDSASignature:
         """Sign a 32-byte message hash; low-s normalized, recoverable."""

@@ -3,10 +3,11 @@
 secp256k1 (every transaction and PoA seal signature) and BN254's G1
 (the SNARK's first pairing group) both have this form, with
 p ≡ n ≡ 1 (mod 3), so both run on this one implementation of the group
-law: Jacobian doubling and addition, a double-and-add reference ladder,
-the GLV endomorphism φ(x, y) = (βx, y) with an interleaved (Shamir)
-ladder, and :class:`FixedBaseTable` for many multiplications of one
-base.
+law: Jacobian doubling and addition, a batch-affine addition that
+shares one field inversion among many sums, a double-and-add reference
+ladder, the GLV endomorphism φ(x, y) = (βx, y) with an interleaved
+(Shamir) ladder, and :class:`FixedBaseTable` for many multiplications
+of one base.
 
 Affine points are ``(x, y)`` int pairs, ``None`` being the point at
 infinity.  Jacobian points are ``(X, Y, Z)`` with x = X/Z², y = Y/Z³,
@@ -15,20 +16,21 @@ and Z = 0 at infinity.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.glv import GLVParams, cube_root_of_unity
 
 Point = Optional[Tuple[int, int]]  # None is the point at infinity.
 
 
-def _jacobian_ops(p: int):
-    """Jacobian doubling and addition on y² = x³ + b mod ``p``.
+def _group_law(p: int):
+    """Jacobian doubling and addition, and batch-affine addition, on
+    y² = x³ + b mod ``p``.
 
     The modulus is bound in the closures rather than read off the
-    curve object: a production Groth16 setup runs the addition 1.5 M
-    times, and an attribute load per call would show.  Neither formula
-    reads b.
+    curve object: a production Groth16 setup runs the additions over a
+    million times, and an attribute load per call would show.  No
+    formula reads b.
     """
 
     def jac_double(pt):
@@ -87,7 +89,43 @@ def _jacobian_ops(p: int):
         nz = (h * zz) % p
         return (nx, ny, nz)
 
-    return jac_double, jac_add
+    def batch_add(left, right):
+        """Affine sums ``left[i] + right[i]`` sharing one field inversion.
+
+        Montgomery's trick: invert the product of every slope denominator
+        once, then peel each inverse off the prefix products walking back.
+        Equal points take the tangent slope 3x²/2y (a = 0); P + (−P) is
+        None (infinity) and leaves the product alone.
+        """
+        prefix = []
+        push = prefix.append
+        acc = 1
+        for (x1, y1), (x2, y2) in zip(left, right):
+            push(acc)
+            d = x2 - x1
+            if d:
+                acc = acc * d % p
+            elif y1 == y2 and y1:
+                acc = acc * 2 * y1 % p
+        inv = pow(acc, -1, p)
+        i = len(prefix)
+        out = [None] * i
+        for (x1, y1), (x2, y2) in zip(reversed(left), reversed(right)):
+            i -= 1
+            d = x2 - x1
+            if d:
+                lam = (y2 - y1) * (inv * prefix[i] % p) % p
+                inv = inv * d % p
+            elif y1 == y2 and y1:
+                lam = 3 * x1 * x1 * (inv * prefix[i] % p) % p
+                inv = inv * 2 * y1 % p
+            else:
+                continue
+            x3 = (lam * lam - x1 - x2) % p
+            out[i] = (x3, (lam * (x1 - x3) - y1) % p)
+        return out
+
+    return jac_double, jac_add, batch_add
 
 
 def _affine_to_jac(point: Tuple[int, int]) -> Tuple[int, int, int]:
@@ -98,9 +136,10 @@ class WeierstrassCurve:
     """The prime-order group of y² = x³ + b over F_p.
 
     ``jac_double`` and ``jac_add`` are plain functions on Jacobian
-    triples (see :func:`_jacobian_ops`), so hot loops and the MSM can
-    bind them once.  The GLV set-up is lazy: nothing is computed until
-    the first wide scalar multiplication.
+    triples, and ``batch_add`` on lists of affine pairs (see
+    :func:`_group_law`), so hot loops, the MSM and the fixed-base
+    tables can bind them once.  The GLV set-up is lazy: nothing is
+    computed until the first wide scalar multiplication.
     """
 
     def __init__(self, p: int, b: int, order: int, generator: Tuple[int, int]) -> None:
@@ -108,7 +147,7 @@ class WeierstrassCurve:
         self.b = b
         self.order = order
         self.generator = generator
-        self.jac_double, self.jac_add = _jacobian_ops(p)
+        self.jac_double, self.jac_add, self.batch_add = _group_law(p)
         self._glv: Optional[Tuple[GLVParams, int]] = None
 
     def is_on_curve(self, point: Point) -> bool:
@@ -218,73 +257,153 @@ class WeierstrassCurve:
         """A :class:`FixedBaseTable` of ``window``-bit windows for ``point``."""
         return FixedBaseTable(
             point,
-            self.jac_add,
-            self.jac_double,
-            self.from_jac,
-            _affine_to_jac,
             window,
             self.order,
+            batch_add=self.batch_add,
+            neg=self.neg,
+            to_jac=_affine_to_jac,
+            jac_add=self.jac_add,
+            from_jac=self.from_jac,
+            from_affine=lambda pt: pt,
         )
 
 
 class FixedBaseTable:
-    """Windowed precomputation for many scalar mults of one fixed base.
+    """Signed-digit windowed precomputation for many multiples of one base.
 
-    Row i holds the multiples ``j · 2^(i·w) · B`` for ``j ∈ [1, 2^w)``,
-    one row per w-bit window of a scalar below ``order``; a scalar
-    multiplication then costs at most one Jacobian addition per window
-    (~32 for a 254-bit order at w = 8) instead of a double-and-add
-    ladder.  Rows are stored in Jacobian coordinates so the build needs
-    no field inversions.  The group law comes in as functions, so G2
-    builds its tables over raw FQ2 coordinates.
+    Row i holds the affine multiples ``j · 2^(i·w) · B`` for
+    ``j ∈ [1, 2^(w−1)]``.  A scalar is read in w-bit windows as signed
+    digits: a digit above 2^(w−1) becomes d − 2^w and carries one into
+    the next window, and a negative digit takes the negated entry
+    (y → p − y).  There are ⌊bits/w⌋ + 1 rows for a ``bits``-bit order,
+    so when w divides the bit length the last row takes the top carry.
+    A scalar multiplication then costs at most one addition per window
+    (32 for a 254-bit order at w = 8) instead of a double-and-add
+    ladder, and the rows hold half the entries unsigned digits need.
+
+    Two ways to multiply: :meth:`mul` takes one scalar and accumulates
+    in Jacobian coordinates (mixed additions against the affine
+    entries, one inversion at the end); :meth:`mul_many` takes a list
+    and moves every scalar one window per step, each step's additions
+    sharing one inversion through ``batch_add``.
+
+    The group law comes in as functions on the group's affine tuples,
+    so G2 builds its tables over raw ``(x0, x1, y0, y1)`` coordinates:
+    ``batch_add`` and ``neg`` act on affine tuples, ``to_jac`` lifts
+    one to ``jac_add``'s Jacobian form, and ``from_jac`` and
+    ``from_affine`` give the caller's point type.
     """
 
     def __init__(
-        self, point, jac_add, jac_double, from_jac, to_jac, window: int, order: int
+        self,
+        base,
+        window: int,
+        order: int,
+        *,
+        batch_add,
+        neg,
+        to_jac,
+        jac_add,
+        from_jac,
+        from_affine,
     ) -> None:
-        self._jac_add = jac_add
-        self._from_jac = from_jac
         self.window = window
         self.order = order
-        self.point = point
-        mask = (1 << window) - 1
-        self._mask = mask
-        num_windows = (order.bit_length() + window - 1) // window
-        table: List[list] = []
-        base = to_jac(point)
-        for _ in range(num_windows):
-            row = [base]
-            cur = base
-            for _ in range(mask - 1):
-                cur = jac_add(cur, base)
-                row.append(cur)
-            table.append(row)
+        self._batch_add = batch_add
+        self._neg = neg
+        self._to_jac = to_jac
+        self._jac_add = jac_add
+        self._from_jac = from_jac
+        self._from_affine = from_affine
+        self._mask = (1 << window) - 1
+        half = 1 << (window - 1)
+        self._half = half
+        # Row bases 2^(i·w)·B by doubling, then every row advances one
+        # multiple per step: one inversion per doubling, then one per step.
+        bases = [base]
+        for _ in range(order.bit_length() // window):
+            point = bases[-1]
             for _ in range(window):
-                base = jac_double(base)
-        self._table = table
+                (point,) = batch_add([point], [point])
+            bases.append(point)
+        rows = [[point] for point in bases]
+        current = bases
+        for _ in range(half - 1):
+            current = batch_add(current, bases)
+            for row, point in zip(rows, current):
+                row.append(point)
+        self._rows: List[list] = rows
 
-    def mul_jac(self, scalar: int):
-        """The scalar multiple in Jacobian coordinates (or None)."""
+    def mul(self, scalar: int):
+        """The scalar multiple of the base (None when ``order`` divides it).
+
+        One scalar pays no batch: it accumulates in Jacobian
+        coordinates and takes one inversion at the end, where a batch of
+        one would take one per window.
+        """
         scalar %= self.order
         if scalar == 0:
             return None
-        jac_add = self._jac_add
-        mask = self._mask
-        window = self.window
+        jac_add, to_jac, neg = self._jac_add, self._to_jac, self._neg
+        mask, half, window = self._mask, self._half, self.window
         acc = None
-        for row in self._table:
-            d = scalar & mask
-            scalar >>= window
-            if d:
-                entry = row[d - 1]
-                acc = entry if acc is None else jac_add(acc, entry)
+        for row in self._rows:
             if not scalar:
                 break
-        return acc
-
-    def mul(self, scalar: int):
-        """The affine scalar multiple of the fixed base."""
-        acc = self.mul_jac(scalar)
-        if acc is None:
-            return None
+            d = scalar & mask
+            scalar >>= window
+            if d > half:
+                entry = to_jac(neg(row[mask - d]))
+                scalar += 1
+            elif d:
+                entry = to_jac(row[d - 1])
+            else:
+                continue
+            acc = entry if acc is None else jac_add(acc, entry)
         return self._from_jac(acc)
+
+    def mul_many(self, scalars: Sequence[int]) -> list:
+        """``[self.mul(s) for s in scalars]``, sharing inversions.
+
+        Every scalar moves forward one window per step, and the step's
+        additions (one per scalar with a nonzero digit) run as one
+        ``batch_add``, so a step costs one inversion however many
+        scalars it carries.  An accumulator that is still empty takes
+        its entry directly, and one that cancels (P + (−P)) is empty
+        again; a scalar ≡ 0 (mod order) gives None.
+        """
+        batch_add, neg = self._batch_add, self._neg
+        mask, half, window = self._mask, self._half, self.window
+        order = self.order
+        rest = [s % order for s in scalars]
+        acc: list = [None] * len(rest)
+        for row in self._rows:
+            left = []
+            right = []
+            slots = []
+            for i, r in enumerate(rest):
+                if not r:
+                    continue
+                d = r & mask
+                r >>= window
+                if d > half:
+                    entry = neg(row[mask - d])
+                    r += 1
+                elif d:
+                    entry = row[d - 1]
+                else:
+                    rest[i] = r
+                    continue
+                rest[i] = r
+                a = acc[i]
+                if a is None:
+                    acc[i] = entry
+                else:
+                    left.append(a)
+                    right.append(entry)
+                    slots.append(i)
+            if left:
+                for i, s in zip(slots, batch_add(left, right)):
+                    acc[i] = s
+        from_affine = self._from_affine
+        return [None if a is None else from_affine(a) for a in acc]

@@ -3,13 +3,17 @@
 G1 is :data:`BN254_G1`, which runs on the a = 0 curve core of
 :mod:`repro.crypto.weierstrass` that secp256k1 shares: affine ``(x, y)``
 int pairs (or ``None`` for infinity) on ``y² = x³ + 3`` over FQ,
-Jacobian double/add, scalar multiplication split by the GLV
-endomorphism φ(x, y) = (βx, y), and fixed-base tables
-(:class:`FixedBaseTable`).  G2 points are affine pairs of :class:`FQ2`
-on the twist ``y² = x³ + 3/(9+i)``; the G2 hot path runs on raw
-``(c0, c1)`` int pairs with 3-multiply Karatsuba FQ2 products rather
-than boxed :class:`FQ2` instances, and its fixed-base tables are the
-same class over those raw operations.
+Jacobian double/add, batch-affine addition (:func:`_g1_batch_add`),
+scalar multiplication split by the GLV endomorphism φ(x, y) = (βx, y),
+and fixed-base tables (:class:`FixedBaseTable`).  G2 points are affine
+pairs of :class:`FQ2` on the twist ``y² = x³ + 3/(9+i)``; the G2 hot
+path runs on raw ``(c0, c1)`` int pairs with 3-multiply Karatsuba FQ2
+products rather than boxed :class:`FQ2` instances, and its fixed-base
+tables are the same class over raw affine ``(x0, x1, y0, y1)`` rows
+and :func:`_g2_batch_add`.  Trusted setup multiplies the generator
+tables by a whole query of scalars at once
+(:meth:`FixedBaseTable.mul_many`), one shared field inversion per
+window step.
 
 Multi-scalar multiplication is Pippenger with signed window digits and
 affine buckets: each batch of bucket additions shares one field
@@ -116,6 +120,27 @@ def _g2_to_raw(point: G2Point):
         return _G2R_INF
     x, y = point
     return (x.c0, x.c1, y.c0, y.c1, 1, 0)
+
+
+# Raw affine G2 points ``(x0, x1, y0, y1)``, never infinity: what the
+# batch additions of the MSM buckets and fixed-base tables work on.
+
+
+def _g2_affine(point: G2Point):
+    x, y = point
+    return (x.c0, x.c1, y.c0, y.c1)
+
+
+def _g2_from_affine(pt) -> G2Point:
+    return (FQ2(pt[0], pt[1]), FQ2(pt[2], pt[3]))
+
+
+def _g2_affine_neg(pt):
+    return (pt[0], pt[1], -pt[2] % _Q, -pt[3] % _Q)
+
+
+def _g2_affine_to_jac(pt):
+    return pt + (1, 0)
 
 
 def _g2r_from_jac(pt) -> G2Point:
@@ -295,46 +320,13 @@ def _msm_window_size(n: int) -> int:
     return 10
 
 
-def _g1_batch_add(left, right):
-    """Affine sums ``left[i] + right[i]`` sharing one field inversion.
-
-    Montgomery's trick: invert the product of every slope denominator
-    once, then peel each inverse off the prefix products walking back.
-    Equal points take the tangent slope; P + (−P) is None (infinity)
-    and leaves the product alone.
-    """
-    q = _Q
-    prefix = []
-    push = prefix.append
-    acc = 1
-    for (x1, y1), (x2, y2) in zip(left, right):
-        push(acc)
-        d = x2 - x1
-        if d:
-            acc = acc * d % q
-        elif y1 == y2 and y1:
-            acc = acc * 2 * y1 % q
-    inv = pow(acc, -1, q)
-    i = len(prefix)
-    out = [None] * i
-    for (x1, y1), (x2, y2) in zip(reversed(left), reversed(right)):
-        i -= 1
-        d = x2 - x1
-        if d:
-            lam = (y2 - y1) * (inv * prefix[i] % q) % q
-            inv = inv * d % q
-        elif y1 == y2 and y1:
-            lam = 3 * x1 * x1 * (inv * prefix[i] % q) % q
-            inv = inv * 2 * y1 % q
-        else:
-            continue
-        x3 = (lam * lam - x1 - x2) % q
-        out[i] = (x3, (lam * (x1 - x3) - y1) % q)
-    return out
+#: Batch-affine G1 addition: the shared a = 0 core's, bound over FQ.
+_g1_batch_add = BN254_G1.batch_add
 
 
 def _g2_batch_add(left, right):
-    """:func:`_g1_batch_add` on raw affine G2 points ``(x0, x1, y0, y1)``.
+    """Batch-affine addition (:func:`_g1_batch_add`) on raw affine G2
+    points ``(x0, x1, y0, y1)``.
 
     An FQ2 denominator d inverts as conj(d) / N(d) with the FQ norm
     N(d) = d0² + d1², so the batch inverts the norms alone.
@@ -587,19 +579,17 @@ def g2_msm(points, scalars) -> G2Point:
     """Multi-scalar multiplication Σ s_i·P_i on G2 (Pippenger)."""
     if obs.TRACER.enabled:
         obs.count("snark.msm.g2_calls")
-    pairs = _msm_pairs(
-        points, scalars, lambda p: (p[0].c0, p[0].c1, p[1].c0, p[1].c1)
-    )
+    pairs = _msm_pairs(points, scalars, _g2_affine)
     if not pairs:
         return None
     if len(pairs) == 1:
         pt, s = pairs[0]
-        return _g2r_from_jac(_g2r_jac_mul(pt + (1, 0), s))
+        return _g2r_from_jac(_g2r_jac_mul(_g2_affine_to_jac(pt), s))
     total = _pippenger_affine(
         pairs,
-        lambda p: (p[0], p[1], -p[2] % _Q, -p[3] % _Q),
+        _g2_affine_neg,
         _g2_batch_add,
-        lambda p: p + (1, 0),
+        _g2_affine_to_jac,
         _g2r_jac_add,
         _g2r_jac_double,
         _G2R_INF,
@@ -632,15 +622,21 @@ def g1_fixed_base(point: G1Point, window: int = 8) -> FixedBaseTable:
 
 
 def g2_fixed_base(point: G2Point, window: int = 7) -> FixedBaseTable:
-    """Build a fixed-base table for a G2 point."""
+    """Build a fixed-base table for a G2 point.
+
+    Its rows are raw affine ``(x0, x1, y0, y1)`` tuples added by
+    :func:`_g2_batch_add`; results become FQ2 pairs once, at output.
+    """
     return FixedBaseTable(
-        point,
-        _g2r_jac_add,
-        _g2r_jac_double,
-        _g2r_from_jac,
-        _g2_to_raw,
+        _g2_affine(point),
         window,
         CURVE_ORDER,
+        batch_add=_g2_batch_add,
+        neg=_g2_affine_neg,
+        to_jac=_g2_affine_to_jac,
+        jac_add=_g2r_jac_add,
+        from_jac=_g2r_from_jac,
+        from_affine=_g2_from_affine,
     )
 
 

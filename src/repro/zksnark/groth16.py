@@ -10,7 +10,9 @@ methodology (heavy proving off-chain, tiny verification on-chain).
 Performance layer (all pure Python, no extra dependencies):
 
 - setup's thousands of generator multiplications go through windowed
-  fixed-base tables (:func:`g1_generator_table`);
+  fixed-base tables (:func:`g1_generator_table`), one
+  :meth:`~repro.crypto.weierstrass.FixedBaseTable.mul_many` call per
+  query, so each window step's additions share one field inversion;
 - the QAP lives on a radix-2 root-of-unity domain of N ≥ n points, so
   setup evaluates it at τ from the closed-form Lagrange basis and the
   prover's quotient H is seven NTTs (:mod:`repro.zksnark.qap`); the H
@@ -245,15 +247,8 @@ class Groth16Backend(ProvingBackend):
             power = power * tau % p
 
         if self._optimized:
-            g1_table = g1_generator_table()
-            g2_table = g2_generator_table()
-
-            def batch_g1(scalars: List[int]) -> List[G1Point]:
-                return [g1_table.mul(s) for s in scalars]
-
-            def batch_g2(scalars: List[int]) -> List[G2Point]:
-                return [g2_table.mul(s) for s in scalars]
-
+            batch_g1 = g1_generator_table().mul_many
+            batch_g2 = g2_generator_table().mul_many
         else:
 
             def batch_g1(scalars: List[int]) -> List[G1Point]:

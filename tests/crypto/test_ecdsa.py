@@ -31,6 +31,15 @@ def test_known_address_for_private_key_two() -> None:
     assert kp.address().hex() == "2b5ad5c4795c026514f8317c7a215e218dccd6cf"
 
 
+def test_address_is_hashed_once_per_key_pair(monkeypatch) -> None:
+    kp = ecdsa.ECDSAKeyPair(3)
+    first = kp.address()
+    hashed = []
+    monkeypatch.setattr(ecdsa, "keccak256", hashed.append)
+    assert kp.address() == first
+    assert hashed == []
+
+
 @given(scalars, scalars)
 @settings(max_examples=10, deadline=None)
 def test_scalar_mul_homomorphic(a: int, b: int) -> None:

@@ -3,9 +3,11 @@
 - secp256k1 ECDSA against OpenSSL, through the ``cryptography`` package:
   key derivation, and signatures verified in both directions, with
   public-key recovery landing on OpenSSL's key.
+- RSA-OAEP and RSA-PSS against OpenSSL, on a key built from OpenSSL's
+  primes: ciphertexts decrypt and signatures verify in both directions.
 - The shared a = 0 curve core (secp256k1 and BN254 G1) against sympy's
   ``EllipticCurve``: scalar multiplication on both sides of the GLV
-  switch point, addition and fixed-base tables.
+  switch point, addition and fixed-base tables (one scalar and many).
 - Keccak-f[1600] against ``hashlib``'s SHA-3, which runs the same
   permutation with the FIPS-202 domain byte 0x06.
 
@@ -25,13 +27,14 @@ from hypothesis import example, given, strategies as st
 from repro.crypto import ecdsa
 from repro.crypto.hashing import sha256
 from repro.crypto.keccak import keccak_f1600
-from repro.errors import SignatureError
+from repro.crypto.rsa import RSAKeyPair, RSAPublicKey
+from repro.errors import DecryptionError, SignatureError
 from repro.zksnark.bn128.curve import BN254_G1, g1_generator_table
 
 try:
     from cryptography.exceptions import InvalidSignature
     from cryptography.hazmat.primitives import hashes
-    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.hazmat.primitives.asymmetric import ec, padding, rsa
     from cryptography.hazmat.primitives.asymmetric.utils import (
         Prehashed,
         decode_dss_signature,
@@ -115,6 +118,61 @@ def test_openssl_signatures_verify_and_recover_here() -> None:
         assert recovered.count(public_key) == 1
 
 
+# ----- RSA-OAEP and RSA-PSS against OpenSSL ----------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _rsa_pair():
+    """An OpenSSL 2048-bit key and :class:`RSAKeyPair` over the same primes."""
+    private = rsa.generate_private_key(public_exponent=65537, key_size=2048)
+    numbers = private.private_numbers()
+    ours = RSAKeyPair(numbers.p, numbers.q)
+    assert ours.public_key == RSAPublicKey(
+        n=numbers.public_numbers.n, e=numbers.public_numbers.e
+    )
+    return private, ours
+
+
+def _oaep(label=None):
+    return padding.OAEP(
+        mgf=padding.MGF1(algorithm=hashes.SHA256()),
+        algorithm=hashes.SHA256(),
+        label=label,
+    )
+
+
+def _pss():
+    return padding.PSS(mgf=padding.MGF1(hashes.SHA256()), salt_length=32)
+
+
+@needs_openssl
+@pytest.mark.parametrize("label", [b"", b"task-42"], ids=["no-label", "label"])
+@pytest.mark.parametrize("size", [0, 1, 190], ids=["empty", "one-byte", "max"])
+def test_rsa_oaep_decrypts_both_ways(size: int, label: bytes) -> None:
+    private, ours = _rsa_pair()
+    message = bytes(random.Random(f"oaep-{size}").getrandbits(8) for _ in range(size))
+    ciphertext = ours.public_key.encrypt(message, rng=random.Random(size), label=label)
+    assert private.decrypt(ciphertext, _oaep(label or None)) == message
+    theirs = private.public_key().encrypt(message, _oaep(label or None))
+    assert ours.decrypt(theirs, label=label) == message
+    with pytest.raises(DecryptionError):
+        ours.decrypt(theirs, label=label + b"x")
+
+
+@needs_openssl
+@pytest.mark.parametrize("message", [b"", b"answer ciphertext digest"])
+def test_rsa_pss_verifies_both_ways(message: bytes) -> None:
+    private, ours = _rsa_pair()
+    public = private.public_key()
+    signature = ours.sign(message, rng=random.Random(len(message)))
+    public.verify(signature, message, _pss(), hashes.SHA256())
+    with pytest.raises(InvalidSignature):
+        public.verify(signature, message + b"x", _pss(), hashes.SHA256())
+    theirs = private.sign(message, _pss(), hashes.SHA256())
+    assert ours.public_key.verify(message, theirs)
+    assert not ours.public_key.verify(message + b"x", theirs)
+
+
 # ----- the a = 0 curve core against sympy -------------------------------------------
 
 _CURVES = {"secp256k1": ecdsa.SECP256K1, "bn254": BN254_G1}
@@ -125,6 +183,14 @@ _FIXED_BASE = {
     "secp256k1": lambda k: ecdsa.point_mul(k, ecdsa.GENERATOR),
     "bn254": lambda k: g1_generator_table().mul(k),
 }
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_base_table(name: str):
+    """The same tables, for :meth:`FixedBaseTable.mul_many`."""
+    if name == "secp256k1":
+        return ecdsa.SECP256K1.fixed_base(ecdsa.GENERATOR, window=4)
+    return g1_generator_table()
 
 
 def _from_sympy(point):
@@ -197,8 +263,16 @@ def test_add_matches_sympy(name: str) -> None:
 @pytest.mark.parametrize("name", sorted(_CURVES))
 def test_fixed_base_mul_matches_sympy(name: str, kind: str) -> None:
     # Both scalars fill the top window, which a short table would miss.
+    curve = _CURVES[name]
     k = _scalar(name, kind)
-    assert _FIXED_BASE[name](k) == _sympy_mul(name, 1, k)
+    expected = _sympy_mul(name, 1, k)
+    assert _FIXED_BASE[name](k) == expected
+    batch = [k, curve.order - k, k]
+    assert _fixed_base_table(name).mul_many(batch) == [
+        expected,
+        _sympy_mul(name, 1, curve.order - k),
+        expected,
+    ]
 
 
 @needs_sympy

@@ -2,8 +2,9 @@
 
 ~120 seeded cases asserting the optimized implementations (Pippenger
 MSMs, prepared-pairing multi-pairing, random-linear-combination
-``batch_verify``) agree bit-for-bit with the retained naive reference
-paths — including on corrupted proofs, where BOTH must reject.
+``batch_verify``, batch-affine fixed-base tables) agree bit-for-bit with
+the retained naive reference paths — including on corrupted proofs,
+where BOTH must reject — plus Groth16 keys pinned by digest.
 
 All randomness comes from seeded :class:`random.Random` instances, so a
 disagreement is reproducible from the failing case index alone.
@@ -11,10 +12,15 @@ disagreement is reproducible from the failing case index alone.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.anonauth import AnonymousAuthScheme, UserKeyPair, setup
+from repro.anonauth.scheme import PREFIX_LENGTH
 from repro.crypto import ecdsa
 from repro.crypto.glv import GLVParams
 from repro.zksnark import (
@@ -28,21 +34,28 @@ from repro.zksnark.bn128.curve import (
     G1,
     G2,
     _g1_batch_add,
+    _g2_affine,
     _g2_batch_add,
+    _g2_from_affine,
     _msm_window_size,
     g1_add,
+    g1_fixed_base,
+    g1_generator_table,
     g1_msm,
     g1_msm_naive,
     g1_mul,
     g1_neg,
+    g1_to_bytes,
     g2_add,
+    g2_generator_table,
     g2_msm,
     g2_msm_naive,
     g2_mul,
+    g2_mul_naive,
     g2_neg,
+    g2_to_bytes,
 )
 from repro.zksnark.bn128.fq import CURVE_ORDER
-from repro.zksnark.bn128.fq2 import FQ2
 from repro.zksnark.bn128.fq12 import FQ12
 from repro.zksnark.bn128.pairing import (
     multi_pairing,
@@ -242,18 +255,23 @@ def test_g2_msm_multi_round_reduction_with_duplicates_and_negations(low_digit) -
     assert g2_msm(points, scalars) == g2_msm_naive(points, scalars)
 
 
-@pytest.mark.parametrize("group", ["g1", "g2"])
+@pytest.mark.parametrize("group", ["g1", "g2", "secp256k1"])
 def test_msm_batch_add_matches_affine_add(group: str) -> None:
-    """One batch mixing general additions, doublings and P + (−P)."""
+    """One batch mixing general additions, doublings and P + (−P).
+
+    secp256k1's batch addition builds and walks its fixed-base table.
+    """
     rng = random.Random(f"batch-add-{group}")
     if group == "g1":
         mul, neg, add, batch = g1_mul, g1_neg, g1_add, _g1_batch_add
         gen, raw, unraw = G1, (lambda p: p), (lambda p: p)
+    elif group == "secp256k1":
+        curve = ecdsa.SECP256K1
+        mul, neg, add, batch = curve.double_and_add, curve.neg, curve.add, curve.batch_add
+        gen, raw, unraw = curve.generator, (lambda p: p), (lambda p: p)
     else:
         mul, neg, add, batch = g2_mul, g2_neg, g2_add, _g2_batch_add
-        gen = G2
-        raw = lambda p: (p[0].c0, p[0].c1, p[1].c0, p[1].c1)  # noqa: E731
-        unraw = lambda p: (FQ2(p[0], p[1]), FQ2(p[2], p[3]))  # noqa: E731
+        gen, raw, unraw = G2, _g2_affine, _g2_from_affine
     p = [mul(gen, rng.randrange(1, 2**32)) for _ in range(4)]
     pairs = [
         (p[0], p[3]),
@@ -492,3 +510,164 @@ def test_glv_switch_point_matches_naive(name: str, kind: str) -> None:
             # The widest scalar decides the MSM's path; the others stay narrower.
             scalars = [k, rng.randrange(1, k), rng.randrange(1, 2**64)]
             assert g1_msm(points, scalars) == g1_msm_naive(points, scalars)
+
+
+# ----- fixed-base tables: mul_many and mul vs the reference ladders ---------------
+#
+# Four tables: secp256k1's generator at w = 4, the only one whose window
+# divides its order's bit length (256 = 64 · 4), so its top window can
+# carry into the table's extra row; BN254's G1 generator at w = 8;
+# another G1 point at w = 5; and G2's generator at w = 7.  Every batch
+# also runs through the one-scalar ``mul``, which walks the same signed
+# digits.
+
+_FIXED_BASE_TABLES = ["secp256k1-w4", "g1-w8", "g1-other-w5", "g2-w7"]
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_base_subject(name: str):
+    """The table and its reference multiplication ``k ↦ k·B``."""
+    if name == "secp256k1-w4":
+        curve = ecdsa.SECP256K1
+        table = curve.fixed_base(curve.generator, window=4)
+        return table, lambda k: curve.double_and_add(curve.generator, k % curve.order)
+    if name == "g1-w8":
+        return g1_generator_table(), lambda k: BN254_G1.double_and_add(G1, k % CURVE_ORDER)
+    if name == "g1-other-w5":
+        base = g1_mul(G1, 424242)
+        table = g1_fixed_base(base, window=5)
+        return table, lambda k: BN254_G1.double_and_add(base, k % CURVE_ORDER)
+    return g2_generator_table(), lambda k: g2_mul_naive(G2, k)
+
+
+def _assert_fixed_base_batch(name: str, scalars: list) -> list:
+    table, reference = _fixed_base_subject(name)
+    expected = [reference(k) for k in scalars]
+    assert table.mul_many(scalars) == expected
+    assert [table.mul(k) for k in scalars] == expected
+    return expected
+
+
+@pytest.mark.parametrize("name", _FIXED_BASE_TABLES)
+def test_fixed_base_mul_many_edge_scalars(name: str) -> None:
+    """0, 1, order − 1, order and beyond, a repeat, and k beside order − k."""
+    table, _ = _fixed_base_subject(name)
+    order = table.order
+    rng = random.Random(f"fixed-base-edges-{name}")
+    k = rng.randrange(2, order - 1)
+    scalars = [0, 1, order - 1, order, 2 * order + 5, k, k, order - k, 7]
+    expected = _assert_fixed_base_batch(name, scalars)
+    assert expected[0] is None and expected[3] is None
+    assert expected[2] is not None and expected[2][0] == expected[1][0]
+    assert table.mul_many([]) == []
+    assert table.mul_many([order, 0]) == [None, None]
+
+
+def _high_digit_scalars(rng: random.Random, window: int, order: int, count: int):
+    """Scalars below ``order`` whose w-bit digits all exceed 2^(w−1), one
+    per full window: every window's digit goes negative and carries into
+    the next, and the top one into the row above the full windows."""
+    half = 1 << (window - 1)
+    scalars = []
+    while len(scalars) < count:
+        s = 0
+        for _ in range(order.bit_length() // window):
+            s = (s << window) | rng.randrange(half + 1, 1 << window)
+        if s < order:
+            scalars.append(s)
+    return scalars
+
+
+@pytest.mark.parametrize("name", _FIXED_BASE_TABLES)
+def test_fixed_base_mul_many_carries_out_of_every_window(name: str) -> None:
+    table, _ = _fixed_base_subject(name)
+    rng = random.Random(f"fixed-base-high-{name}")
+    ones = (1 << (table.window * (table.order.bit_length() // table.window))) - 1
+    scalars = _high_digit_scalars(rng, table.window, table.order, 3)
+    if ones < table.order:
+        scalars.append(ones)
+    _assert_fixed_base_batch(name, scalars)
+
+
+@pytest.mark.parametrize("name", _FIXED_BASE_TABLES)
+@settings(max_examples=15, deadline=None)
+@given(scalars=st.lists(st.integers(min_value=0, max_value=2**256 - 1), max_size=4))
+@example(scalars=[])
+def test_fixed_base_mul_many_matches_reference_on_drawn_batches(name, scalars) -> None:
+    _assert_fixed_base_batch(name, scalars)
+
+
+# ----- Groth16 keys pinned byte for byte -----------------------------------------
+#
+# Setup is one fixed-base multiplication per QAP term, so for a fixed
+# seed the keys cannot depend on how the tables are laid out or batched:
+# these digests hold them byte for byte.
+
+
+def _key_digests(keys) -> tuple:
+    """sha256 over every proving-key point in field order, and over the
+    verifying key's bytes."""
+    pk = keys.proving_key
+    parts = [
+        g1_to_bytes(pk.alpha_g1),
+        g1_to_bytes(pk.beta_g1),
+        g2_to_bytes(pk.beta_g2),
+        g1_to_bytes(pk.delta_g1),
+        g2_to_bytes(pk.delta_g2),
+    ]
+    parts += map(g1_to_bytes, pk.a_query)
+    parts += map(g1_to_bytes, pk.b_g1_query)
+    parts += map(g2_to_bytes, pk.b_g2_query)
+    parts += map(g1_to_bytes, pk.k_query)
+    parts += map(g1_to_bytes, pk.h_query)
+    return (
+        hashlib.sha256(b"".join(parts)).hexdigest(),
+        hashlib.sha256(keys.verifying_key.to_bytes()).hexdigest(),
+    )
+
+
+_PINNED_KEYS = {
+    "product": (
+        "4fa1e9c41db2752c21357c5afa45ed53e5ff07252009908712419a95c4b89d71",
+        "3f1db3771d6852a7b065717bd917c1c59fabc7f625bd2b010665338ad9f064c1",
+    ),
+    "auth-merkle-test": (
+        "feba4bb09d2c1c2727aee12bd28305cd9fa69a8365019892160937fbacf3be23",
+        "7b2bc3e03788abb57822f50009a2b5d3c663ad54384b1b3fa62dc1661fbc626e",
+    ),
+    "auth-merkle-production": (
+        "4edbd274b6d95329e9188b1d2c1d0a7c07b62f64f2a984034f0248f4b123a0af",
+        "1e4a3d59a58f20b13aacaa746d1d1d64396848ef87cc80f953a589e92f0225ee",
+    ),
+}
+
+
+def test_fixed_base_setup_keeps_product_circuit_keys(keys) -> None:
+    assert _key_digests(keys) == _PINNED_KEYS["product"]
+
+
+def test_fixed_base_setup_keeps_auth_circuit_keys(groth16_auth_system) -> None:
+    params, _ = groth16_auth_system
+    assert _key_digests(params.keys) == _PINNED_KEYS["auth-merkle-test"]
+
+
+@pytest.mark.slow
+def test_production_auth_keys_pinned_and_attestation_verifies() -> None:
+    """The paper's parameters (``profiles.PRODUCTION``, a 13,519-constraint
+    Merkle auth circuit): setup keeps its pinned keys, and one
+    attestation proves and verifies."""
+    params, authority = setup(
+        profile="production",
+        cert_mode="merkle",
+        backend_name="groth16",
+        seed=b"production-pin",
+    )
+    assert _key_digests(params.keys) == _PINNED_KEYS["auth-merkle-production"]
+    scheme = AnonymousAuthScheme(params)
+    user = UserKeyPair.generate(params.mimc, seed=b"production-user")
+    certificate = authority.register("production-user", user.public_key)
+    commitment = authority.registry_commitment()
+    message = b"\xaa" * PREFIX_LENGTH + b"production submission"
+    attestation = scheme.auth(message, user, certificate, commitment)
+    assert scheme.verify(message, attestation, commitment)
+    assert not scheme.verify(message + b"!", attestation, commitment)
