@@ -131,4 +131,7 @@ def prove_receipt_inclusion(receipts: Sequence[Receipt], index: int) -> ReceiptP
 
 def verify_receipt_proof(root: bytes, proof: ReceiptProof) -> bool:
     """Check a receipt branch against a header's receipts root."""
-    return proof.compute_root() == root
+    try:
+        return proof.compute_root() == root
+    except ValueError:
+        return False

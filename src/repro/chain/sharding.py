@@ -56,7 +56,12 @@ from repro.chain.block import Block
 from repro.chain.contract import Contract, ContractRegistry, external, view
 from repro.chain.faults import FaultPlan
 from repro.chain.network import NetworkStats, Testnet
-from repro.chain.receipts import Receipt, ReceiptProof, prove_receipt_inclusion
+from repro.chain.receipts import (
+    Receipt,
+    ReceiptProof,
+    prove_receipt_inclusion,
+    verify_receipt_proof,
+)
 from repro.chain.transaction import SignedTransaction, Transaction, encode_call
 from repro.chain.txsender import PendingTx, TxAbandonedError, TxSender
 
@@ -554,7 +559,7 @@ class BeaconLightClient:
         root = self._anchored.get((shard, block_number))
         if root is None:
             return False
-        return proof.compute_root() == root
+        return verify_receipt_proof(root, proof)
 
 
 # ----- routed views -------------------------------------------------------------------

@@ -12,6 +12,22 @@ the transaction trie and the receipts trie (``chain/receipts.py``)
 share one tree shape without cross-proof confusion: a tx-trie branch
 can never validate against a receipts root because the leaf prefixes
 differ.
+
+Building a tree hashes each level (the leaves, then each parent level)
+with one :func:`~repro.crypto.hashing.keccak256_many` call, so a
+level's independent nodes share packed Keccak passes; a one-node level
+(a one-transaction block, and every root) stays on the one-lane path.
+Folding a single branch (:func:`branch_root`) hashes one node per
+level and stays scalar.  A branch binds its index to
+[0, 2^len(siblings)): an index outside that range raises instead of
+aliasing the position whose low bits it shares.
+
+Known limitation: odd levels duplicate their last node, so
+``[a, b, c]`` and ``[a, b, c, c]`` share a root and a branch for the
+phantom index 3 of a 3-leaf tree verifies.  A block body with its last
+transaction repeated therefore matches its header's ``tx_root``;
+import refuses it at re-execution, where the repeat fails the nonce
+check.  Binding the leaf count would change every root.
 """
 
 from __future__ import annotations
@@ -19,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.crypto.hashing import keccak256
+from repro.crypto.hashing import keccak256, keccak256_many
 
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
@@ -34,6 +50,25 @@ def _node(left: bytes, right: bytes) -> bytes:
     return keccak256(_NODE_PREFIX, left, right)
 
 
+def _levels(leaves: Sequence[bytes], leaf_prefix: bytes) -> List[List[bytes]]:
+    """Every level of the tree over ``leaves``, leaves first, root last.
+
+    Each level is hashed with one :func:`keccak256_many` call, so its
+    nodes share packed permutation passes; an odd level gets its last
+    node duplicated before its parents are hashed.
+    """
+    level = keccak256_many([leaf_prefix + payload for payload in leaves])
+    levels = [level]
+    while len(level) > 1:
+        if len(level) % 2:
+            level.append(level[-1])
+        level = keccak256_many(
+            [_NODE_PREFIX + level[i] + level[i + 1] for i in range(0, len(level), 2)]
+        )
+        levels.append(level)
+    return levels
+
+
 def merkle_root(
     leaves: Sequence[bytes],
     leaf_prefix: bytes = _LEAF_PREFIX,
@@ -46,12 +81,7 @@ def merkle_root(
     """
     if not leaves:
         return empty_root
-    level = [_leaf(payload, leaf_prefix) for payload in leaves]
-    while len(level) > 1:
-        if len(level) % 2:
-            level.append(level[-1])
-        level = [_node(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-    return level[0]
+    return _levels(leaves, leaf_prefix)[-1][0]
 
 
 def merkle_branch(
@@ -60,16 +90,10 @@ def merkle_branch(
     """Sibling path proving ``leaves[index]`` under :func:`merkle_root`."""
     if not 0 <= index < len(leaves):
         raise IndexError("leaf index out of range")
-    level = [_leaf(payload, leaf_prefix) for payload in leaves]
-    siblings: List[bytes] = []
-    position = index
-    while len(level) > 1:
-        if len(level) % 2:
-            level.append(level[-1])
-        siblings.append(level[position ^ 1])
-        level = [_node(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-        position >>= 1
-    return tuple(siblings)
+    levels = _levels(leaves, leaf_prefix)
+    return tuple(
+        level[(index >> depth) ^ 1] for depth, level in enumerate(levels[:-1])
+    )
 
 
 def branch_root(
@@ -78,7 +102,15 @@ def branch_root(
     siblings: Sequence[bytes],
     leaf_prefix: bytes = _LEAF_PREFIX,
 ) -> bytes:
-    """Fold a sibling path back up to the root it claims."""
+    """Fold a sibling path back up to the root it claims.
+
+    The path reads one bit of ``index`` per sibling, so an index
+    outside [0, 2^len(siblings)) would alias one inside it (and a
+    negative one would pass Python's ``&`` and ``>>``): such an index
+    raises ValueError rather than verify as another position.
+    """
+    if not 0 <= index < 1 << len(siblings):
+        raise ValueError("leaf index out of range for the branch depth")
     node = _leaf(leaf_payload, leaf_prefix)
     position = index
     for sibling in siblings:
@@ -120,4 +152,7 @@ def prove_inclusion(tx_hashes: Sequence[bytes], index: int) -> InclusionProof:
 
 def verify_inclusion(root: bytes, proof: InclusionProof) -> bool:
     """Check a branch against a header's transaction root."""
-    return proof.compute_root() == root
+    try:
+        return proof.compute_root() == root
+    except ValueError:
+        return False

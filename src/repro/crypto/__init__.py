@@ -4,7 +4,9 @@ ECDSA).  SHA-256 comes from the standard library.
 
 Public surface:
 
-- :func:`repro.crypto.hashing.sha256` / :func:`keccak256` — hash functions.
+- :func:`repro.crypto.hashing.sha256` / :func:`keccak256` — hash functions;
+  :func:`~repro.crypto.hashing.keccak256_many` hashes a batch of
+  independent messages in shared Keccak passes.
 - :class:`repro.crypto.rsa.RSAKeyPair` with OAEP encryption and PSS
   signatures (the DApp-layer primitives named in Section VI).
 - :class:`repro.crypto.ecdsa.ECDSAKeyPair` — secp256k1 signatures used by

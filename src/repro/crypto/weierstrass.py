@@ -268,6 +268,12 @@ class WeierstrassCurve:
         )
 
 
+#: Scalars per :meth:`FixedBaseTable.mul_many` step batch: one field
+#: inversion per window step serves this many additions, and the step's
+#: working lists never grow past it.
+MUL_MANY_CHUNK = 1024
+
+
 class FixedBaseTable:
     """Signed-digit windowed precomputation for many multiples of one base.
 
@@ -371,7 +377,17 @@ class FixedBaseTable:
         scalars it carries.  An accumulator that is still empty takes
         its entry directly, and one that cancels (P + (−P)) is empty
         again; a scalar ≡ 0 (mod order) gives None.
+
+        A query runs in chunks of :data:`MUL_MANY_CHUNK` scalars, so a
+        step's lists stay that short however long the query is, while
+        each inversion still serves up to that many additions.
         """
+        out: list = []
+        for start in range(0, len(scalars), MUL_MANY_CHUNK):
+            out.extend(self._mul_chunk(scalars[start : start + MUL_MANY_CHUNK]))
+        return out
+
+    def _mul_chunk(self, scalars: Sequence[int]) -> list:
         batch_add, neg = self._batch_add, self._neg
         mask, half, window = self._mask, self._half, self.window
         order = self.order

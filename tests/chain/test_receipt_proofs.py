@@ -127,8 +127,11 @@ def test_wrong_index_rejected() -> None:
     receipts = _receipts(6)
     root = receipts_root(receipts)
     proof = prove_receipt_inclusion(receipts, 4)
-    moved = dataclasses.replace(proof, index=1)
-    assert not verify_receipt_proof(root, moved)
+    assert len(proof.siblings) == 3
+    # 12, -4 and 4 + 2^40 agree with 4 in the three bits the branch reads.
+    for index in (1, 12, -4, 4 + 2**40):
+        moved = dataclasses.replace(proof, index=index)
+        assert not verify_receipt_proof(root, moved)
 
 
 def test_prove_index_bounds() -> None:

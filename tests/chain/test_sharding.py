@@ -521,6 +521,24 @@ def test_tampered_receipt_proof_is_rejected() -> None:
     assert_shard_conservation(chain)
 
 
+def test_aliased_receipt_proof_index_is_rejected() -> None:
+    """An index shifted by 2^depth reads the same path bits as the real
+    one; the inbox must refuse it on the proof, not later on the nonce."""
+    chain = ShardedChain(shards=2, miners=1, full_nodes=1)
+    message, anchor, signature, proof, _, _ = _delivered_send(chain)
+    aliased = ReceiptProof(
+        receipt=proof.receipt,
+        index=proof.index + (1 << len(proof.siblings)),
+        siblings=proof.siblings,
+    )
+    receipt = _deliver_as_attacker(
+        chain, message.dest_shard, anchor, signature, aliased, message.to_wire()
+    )
+    assert not receipt.success
+    assert "proof" in receipt.error
+    assert_shard_conservation(chain)
+
+
 def test_delivery_to_wrong_shard_fails_closed() -> None:
     chain = ShardedChain(shards=4, miners=1, full_nodes=1)
     message, anchor, signature, proof, _, _ = _delivered_send(chain)
@@ -617,6 +635,12 @@ def test_beacon_light_client_verifies_anchored_receipts() -> None:
     )
     assert not client.verify_shard_receipt(anchor.shard, anchor.number, tampered)
     assert not client.verify_shard_receipt(anchor.shard, anchor.number + 999, proof)
+    aliased = ReceiptProof(
+        receipt=proof.receipt,
+        index=proof.index - (1 << len(proof.siblings)),
+        siblings=proof.siblings,
+    )
+    assert not client.verify_shard_receipt(anchor.shard, anchor.number, aliased)
 
 
 def test_beacon_light_client_rejects_forks_and_forgeries() -> None:

@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import ecdsa
-from repro.crypto.hashing import sha256
+from repro.crypto.hashing import keccak256, sha256
 from repro.errors import InvalidBlockError
 from repro.chain.consensus import PoAEngine
 from repro.chain.light import LightClient, serve_inclusion_proof
 from repro.chain.node import GenesisConfig, Node
+from repro.chain.receipts import RECEIPT_LEAF_PREFIX
 from repro.chain.transaction import Transaction
 from repro.chain.txtrie import (
     InclusionProof,
+    branch_root,
+    merkle_branch,
+    merkle_root,
     prove_inclusion,
     transactions_merkle_root,
     verify_inclusion,
@@ -58,8 +62,12 @@ def test_wrong_position_fails() -> None:
     hashes = _hashes(4)
     root = transactions_merkle_root(hashes)
     proof = prove_inclusion(hashes, 2)
-    moved = InclusionProof(tx_hash=proof.tx_hash, index=1, siblings=proof.siblings)
-    assert not verify_inclusion(root, moved)
+    # 6, -2 and 2 + 2^40 agree with 2 in the two bits a depth-2 branch reads.
+    for index in (1, 6, -2, 2 + 2**40):
+        moved = InclusionProof(
+            tx_hash=proof.tx_hash, index=index, siblings=proof.siblings
+        )
+        assert not verify_inclusion(root, moved)
 
 
 def test_proof_index_bounds() -> None:
@@ -75,6 +83,43 @@ def test_inclusion_property(count: int, which: int) -> None:
     assert verify_inclusion(
         transactions_merkle_root(hashes), prove_inclusion(hashes, index)
     )
+
+
+def _per_node_tree(leaves: list, prefix: bytes):
+    """The reference: one ``keccak256`` per leaf and per inner node,
+    returning the root and every leaf's sibling path."""
+    level = [keccak256(prefix, payload) for payload in leaves]
+    paths: list = [[] for _ in leaves]
+    positions = list(range(len(leaves)))
+    while len(level) > 1:
+        if len(level) % 2:
+            level.append(level[-1])
+        for leaf, position in enumerate(positions):
+            paths[leaf].append(level[position ^ 1])
+            positions[leaf] = position >> 1
+        level = [
+            keccak256(b"\x01", level[i], level[i + 1])
+            for i in range(0, len(level), 2)
+        ]
+    return level[0], [tuple(path) for path in paths]
+
+
+@pytest.mark.parametrize("prefix", [b"\x00", RECEIPT_LEAF_PREFIX])
+@pytest.mark.parametrize("count", range(34))
+def test_level_hashing_matches_per_node_tree(count: int, prefix: bytes) -> None:
+    """Hashing a level with one ``keccak256_many`` call gives the
+    per-node tree's root and branches; payload lengths 0-286 put leaves
+    of one, two and three Keccak blocks in one level."""
+    leaves = [bytes([i]) * (i * 13 % 287) for i in range(count)]
+    if not count:
+        assert merkle_root(leaves, prefix, empty_root=b"sentinel") == b"sentinel"
+        return
+    root, paths = _per_node_tree(leaves, prefix)
+    assert merkle_root(leaves, prefix) == root
+    for index in range(count):
+        branch = merkle_branch(leaves, index, prefix)
+        assert branch == paths[index]
+        assert branch_root(leaves[index], index, branch, prefix) == root
 
 
 def test_order_sensitivity() -> None:

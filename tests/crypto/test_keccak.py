@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from repro.crypto.keccak import KeccakSponge, keccak_256
-from repro.crypto.hashing import keccak256
+from repro.crypto.keccak import KeccakSponge, keccak_256, keccak_256_packed
+from repro.crypto.hashing import keccak256, keccak256_many
 
 # Known Keccak-256 vectors (original padding — the Ethereum variant).
 KNOWN_VECTORS = {
@@ -76,3 +76,33 @@ def test_invalid_rate_rejected() -> None:
 
 def test_keccak256_helper_concatenates() -> None:
     assert keccak256(b"ab", b"cd") == keccak_256(b"abcd")
+
+
+# ----- keccak256_many: packed passes against one message at a time ---------------
+
+#: Lengths on both sides of the one-, two- and three-block boundaries.
+_BOUNDARY_MESSAGES = st.sampled_from([0, 135, 136, 137, 271, 272]).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n)
+)
+
+
+@given(
+    st.lists(st.one_of(_BOUNDARY_MESSAGES, st.binary(max_size=300)), max_size=24),
+    st.lists(st.integers(min_value=0, max_value=23), max_size=6),
+)
+@example([], [])
+@example([b"abc"], [])
+@example([b"q" * n for n in (0, 136, 272, 135, 137, 271, 1)], [0, 1, 1])
+@example([bytes([i]) * 65 for i in range(64)], [])
+@example([bytes([i]) * 300 for i in range(24)], [3])
+def test_keccak256_many_matches_keccak256(messages: list, repeats: list) -> None:
+    """Mixed block counts in one batch, groups of one, repeated
+    messages, wide packs and the empty batch all give ``keccak256``,
+    in order."""
+    batch = messages + [messages[i % len(messages)] for i in repeats if messages]
+    assert keccak256_many(batch) == [keccak256(m) for m in batch]
+
+
+def test_keccak_256_packed_rejects_mixed_block_counts() -> None:
+    with pytest.raises(ValueError):
+        keccak_256_packed([b"q" * 135, b"q" * 136])

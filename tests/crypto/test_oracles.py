@@ -9,7 +9,8 @@
   ``EllipticCurve``: scalar multiplication on both sides of the GLV
   switch point, addition and fixed-base tables (one scalar and many).
 - Keccak-f[1600] against ``hashlib``'s SHA-3, which runs the same
-  permutation with the FIPS-202 domain byte 0x06.
+  permutation with the FIPS-202 domain byte 0x06, both one state at a
+  time and packed (every instance of a multi-instance pass).
 
 ``cryptography`` and ``sympy`` come with the ``dev`` extra; a lane
 without them skips their cases.
@@ -26,7 +27,7 @@ from hypothesis import example, given, strategies as st
 
 from repro.crypto import ecdsa
 from repro.crypto.hashing import sha256
-from repro.crypto.keccak import keccak_f1600
+from repro.crypto.keccak import keccak_f1600, keccak_f1600_packed
 from repro.crypto.rsa import RSAKeyPair, RSAPublicKey
 from repro.errors import DecryptionError, SignatureError
 from repro.zksnark.bn128.curve import BN254_G1, g1_generator_table
@@ -289,13 +290,16 @@ def test_order_times_generator_is_infinity(name: str) -> None:
 # ----- Keccak-f[1600] against hashlib's SHA-3 -------------------------------------
 
 
-def _sha3(data: bytes, rate: int, digest_size: int) -> bytes:
-    """FIPS-202 SHA-3: the 0x06-domain sponge around ``keccak_f1600``."""
-    padded = bytearray(data)
-    padding = bytearray(rate - len(padded) % rate)
+def _sha3_pad(data: bytes, rate: int) -> bytes:
+    padding = bytearray(rate - len(data) % rate)
     padding[0] = 0x06
     padding[-1] |= 0x80
-    padded += padding
+    return bytes(data) + padding
+
+
+def _sha3(data: bytes, rate: int, digest_size: int) -> bytes:
+    """FIPS-202 SHA-3: the 0x06-domain sponge around ``keccak_f1600``."""
+    padded = _sha3_pad(data, rate)
     state = [0] * 25
     for offset in range(0, len(padded), rate):
         for i in range(0, rate, 8):
@@ -304,6 +308,24 @@ def _sha3(data: bytes, rate: int, digest_size: int) -> bytes:
         state = keccak_f1600(state)
     squeezed = b"".join(lane.to_bytes(8, "little") for lane in state[: rate // 8])
     return squeezed[:digest_size]
+
+
+def _sha3_packed(messages: list, rate: int, digest_size: int) -> list:
+    """The same sponge over equal-length messages, one instance each of
+    ``keccak_f1600_packed`` (instance i in bits [64i, 64i + 64) of a lane)."""
+    k = len(messages)
+    padded = [_sha3_pad(m, rate) for m in messages]
+    state = [0] * 25
+    for offset in range(0, len(padded[0]), rate):
+        for i in range(0, rate, 8):
+            chunks = b"".join(p[offset + i : offset + i + 8] for p in padded)
+            state[i // 8] ^= int.from_bytes(chunks, "little")
+        state = keccak_f1600_packed(state, k)
+    lanes = [lane.to_bytes(8 * k, "little") for lane in state[: rate // 8]]
+    return [
+        b"".join(lane[8 * n : 8 * n + 8] for lane in lanes)[:digest_size]
+        for n in range(k)
+    ]
 
 
 @given(st.binary(max_size=500))
@@ -316,3 +338,13 @@ def _sha3(data: bytes, rate: int, digest_size: int) -> bytes:
 def test_keccak_f1600_matches_hashlib_sha3(data: bytes) -> None:
     assert _sha3(data, 136, 32) == hashlib.sha3_256(data).digest()
     assert _sha3(data, 72, 64) == hashlib.sha3_512(data).digest()
+    # The packed permutation, on every instance of batches of 2, 3 and 24
+    # distinct messages of this length.
+    for k in (2, 3, 24):
+        batch = [bytes((b + n) % 256 for b in data) for n in range(k)]
+        assert _sha3_packed(batch, 136, 32) == [
+            hashlib.sha3_256(m).digest() for m in batch
+        ]
+        assert _sha3_packed(batch, 72, 64) == [
+            hashlib.sha3_512(m).digest() for m in batch
+        ]

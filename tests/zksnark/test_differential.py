@@ -23,6 +23,7 @@ from repro.anonauth import AnonymousAuthScheme, UserKeyPair, setup
 from repro.anonauth.scheme import PREFIX_LENGTH
 from repro.crypto import ecdsa
 from repro.crypto.glv import GLVParams
+from repro.crypto.weierstrass import MUL_MANY_CHUNK
 from repro.zksnark import (
     CircuitDefinition,
     ConstraintSystem,
@@ -595,6 +596,20 @@ def test_fixed_base_mul_many_carries_out_of_every_window(name: str) -> None:
 @example(scalars=[])
 def test_fixed_base_mul_many_matches_reference_on_drawn_batches(name, scalars) -> None:
     _assert_fixed_base_batch(name, scalars)
+
+
+def test_fixed_base_mul_many_runs_past_one_chunk() -> None:
+    """1,030 scalars span two ``MUL_MANY_CHUNK`` chunks and still line
+    up with ``mul`` one for one, Nones at the chunk edge included."""
+    table, _ = _fixed_base_subject("secp256k1-w4")
+    rng = random.Random("fixed-base-chunks")
+    scalars = [rng.randrange(1, table.order) for _ in range(1_030)]
+    assert len(scalars) > MUL_MANY_CHUNK
+    scalars[MUL_MANY_CHUNK - 1] = 0
+    scalars[MUL_MANY_CHUNK] = table.order
+    expected = [table.mul(k) for k in scalars]
+    assert table.mul_many(scalars) == expected
+    assert expected[MUL_MANY_CHUNK - 1] is None and expected[MUL_MANY_CHUNK] is None
 
 
 # ----- Groth16 keys pinned byte for byte -----------------------------------------
