@@ -34,23 +34,31 @@ point_add = SECP256K1.add
 _G_TABLE: Optional[FixedBaseTable] = None
 
 
+def generator_table() -> FixedBaseTable:
+    """The process-wide fixed-base table for the generator (lazy).
+
+    8-bit signed-digit windows: 33 rows of 128 affine entries, the last
+    row for the top carry, since 8 divides the order's 256 bits.
+    """
+    global _G_TABLE
+    if _G_TABLE is None:
+        _G_TABLE = SECP256K1.fixed_base(GENERATOR, window=8)
+    return _G_TABLE
+
+
 def point_mul(scalar: int, point: Point) -> Point:
     """Scalar multiplication on secp256k1.
 
-    Generator multiples (every signature, public key, and half of each
-    recovery) walk a fixed-base table of 4-bit signed-digit windows (65
-    rows, the last for the top carry), built on first use: at most 65
-    mixed additions in place of ~256 doublings.  Other
-    points (signature recovery, verification) take
-    :meth:`WeierstrassCurve.mul`, whose GLV split halves the doubling
-    count of a full-width scalar.
+    Generator multiples (every signature, public key, and the u₁·G
+    half of each verification and recovery) walk
+    :func:`generator_table`: at most 33 mixed additions in place of
+    ~256 doublings.  Other points (the u₂ half of verification and
+    recovery) take :meth:`WeierstrassCurve.mul`, a width-5 wNAF walk
+    over both GLV halves of the scalar.
     """
-    global _G_TABLE
     if point != GENERATOR:
         return SECP256K1.mul(point, scalar)
-    if _G_TABLE is None:
-        _G_TABLE = SECP256K1.fixed_base(GENERATOR, window=4)
-    return _G_TABLE.mul(scalar)
+    return generator_table().mul(scalar)
 
 
 @dataclass(frozen=True)
@@ -150,11 +158,19 @@ class ECDSAKeyPair:
             return ECDSASignature(r=r, s=s, v=v)
 
 
-def verify(public_key: Tuple[int, int], message_hash: bytes, sig: ECDSASignature) -> bool:
-    """Verify a signature against an explicit public key."""
+def verify(public_key: Point, message_hash: bytes, sig: ECDSASignature) -> bool:
+    """Verify a signature against an explicit public key.
+
+    The key must be a finite curve point with coordinates in [0, P):
+    at infinity u₂·Q vanishes, and a forged (r, s) would pass as
+    x(u₁·G) = r.
+    """
     if not (1 <= sig.r < N and 1 <= sig.s < N):
         return False
-    if not is_on_curve(public_key):
+    if public_key is None:
+        return False
+    x, y = public_key
+    if not (0 <= x < P and 0 <= y < P and is_on_curve(public_key)):
         return False
     z = int.from_bytes(message_hash, "big")
     w = pow(sig.s, -1, N)
@@ -178,7 +194,14 @@ def require_low_s(sig: ECDSASignature) -> None:
 
 
 def recover_public_key(message_hash: bytes, sig: ECDSASignature) -> Tuple[int, int]:
-    """Recover the signer's public key from a recoverable signature."""
+    """Recover the signer's public key from a recoverable signature.
+
+    R is the curve point with x = r (+ N for v ≥ 2) and the parity of
+    y given by v; then Q = r⁻¹(s·R − z·G) = u₁·G + u₂·R with
+    u₁ = −z·r⁻¹ and u₂ = s·r⁻¹ (mod N): one generator-table and one
+    variable-base multiplication.  The candidate is re-verified
+    against the signature before it is returned.
+    """
     if not (1 <= sig.r < N and 1 <= sig.s < N):
         raise SignatureError("signature components out of range")
     if sig.v not in (0, 1, 2, 3):
@@ -195,11 +218,9 @@ def recover_public_key(message_hash: bytes, sig: ECDSASignature) -> Tuple[int, i
     r_point: Point = (x, y)
     z = int.from_bytes(message_hash, "big")
     r_inv = pow(sig.r, -1, N)
-    # Q = r^-1 (s*R - z*G)
-    candidate = point_mul(
-        r_inv,
-        point_add(point_mul(sig.s, r_point), point_mul(N - (z % N), GENERATOR)),
-    )
+    u1 = (-z * r_inv) % N
+    u2 = (sig.s * r_inv) % N
+    candidate = point_add(point_mul(u1, GENERATOR), point_mul(u2, r_point))
     if candidate is None or not verify(candidate, message_hash, sig):
         raise SignatureError("public-key recovery produced an invalid key")
     return candidate

@@ -5,9 +5,9 @@ secp256k1 (every transaction and PoA seal signature) and BN254's G1
 p ≡ n ≡ 1 (mod 3), so both run on this one implementation of the group
 law: Jacobian doubling and addition, a batch-affine addition that
 shares one field inversion among many sums, a double-and-add reference
-ladder, the GLV endomorphism φ(x, y) = (βx, y) with an interleaved
-(Shamir) ladder, and :class:`FixedBaseTable` for many multiplications
-of one base.
+ladder, the GLV endomorphism φ(x, y) = (βx, y) with a width-5 wNAF
+ladder over both GLV halves, and :class:`FixedBaseTable` for many
+multiplications of one base.
 
 Affine points are ``(x, y)`` int pairs, ``None`` being the point at
 infinity.  Jacobian points are ``(X, Y, Z)`` with x = X/Z², y = Y/Z³,
@@ -132,6 +132,55 @@ def _affine_to_jac(point: Tuple[int, int]) -> Tuple[int, int, int]:
     return (point[0], point[1], 1)
 
 
+#: Digit width w of :meth:`WeierstrassCurve.mul`'s signed expansion.
+#: Nonzero digits are odd, below 2^(w−1) in magnitude and at least w
+#: positions apart, so each GLV half adds on about one position in
+#: w + 1 from a table of P, 3P, …, (2^(w−1) − 1)P.
+WNAF_WIDTH = 5
+
+
+def _wnaf(k: int) -> List[int]:
+    """The width-:data:`WNAF_WIDTH` NAF of ``k ≥ 0``, lowest digit first.
+
+    An odd remainder takes the digit d ≡ k (mod 2^w) in
+    (−2^(w−1), 2^(w−1)); subtracting it clears the next w − 1 bits,
+    so the digits that follow are zero.  ``sum(d·2^i) == k``.
+    """
+    size = 1 << WNAF_WIDTH
+    half = size >> 1
+    digits: List[int] = []
+    push = digits.append
+    while k:
+        if k & 1:
+            d = k & (size - 1)
+            if d >= half:
+                d -= size
+            k -= d
+            push(d)
+        else:
+            push(0)
+        k >>= 1
+    return digits
+
+
+def _signed_table(odd: List[Tuple[int, int]], negate: bool, p: int) -> list:
+    """Mixed-addition operands for the digits of :func:`_wnaf`.
+
+    Entry d holds d·P as a z = 1 Jacobian triple for every odd digit,
+    the negative ones through Python's negative indexing (index
+    2^w + d), so a signed digit picks its entry directly.  ``odd`` is
+    [P, 3P, …]; ``negate`` folds the sign of the scalar into y.
+    """
+    table: list = [None] * (1 << WNAF_WIDTH)
+    for j, (x, y) in enumerate(odd):
+        minus_y = -y % p
+        if negate:
+            y, minus_y = minus_y, y
+        table[2 * j + 1] = (x, y, 1)
+        table[-2 * j - 1] = (x, minus_y, 1)
+    return table
+
+
 class WeierstrassCurve:
     """The prime-order group of y² = x³ + b over F_p.
 
@@ -224,9 +273,13 @@ class WeierstrassCurve:
         """``scalar · point``, the scalar taken mod the group order.
 
         A scalar wider than the GLV component bound splits into
-        k₁ + k₂·λ ≡ k (mod n), two ~half-width components that run as
-        one interleaved (Shamir) ladder over P and φ(P), halving the
-        doubling count.  Narrower scalars take :meth:`double_and_add`.
+        k₁ + k₂·λ ≡ k (mod n), two ~half-width components.  Each is
+        recoded by :func:`_wnaf` and both run in one loop of shared
+        doublings (half the doublings of the full-width scalar), every
+        nonzero digit a mixed addition of an affine entry: the odd
+        multiples P, 3P, …, 15P for k₁ and their images (βx, y) = φ(·)
+        for k₂, each component's sign folded into y.  Narrower scalars
+        take :meth:`double_and_add`.
         """
         scalar %= self.order
         if point is None or scalar == 0:
@@ -237,21 +290,37 @@ class WeierstrassCurve:
         p = self.p
         jac_add, jac_double = self.jac_add, self.jac_double
         k1, k2 = params.decompose(scalar)
-        x, y = point
-        p1 = (x, y if k1 > 0 else -y % p, 1)
-        p2 = (x * beta % p, y if k2 > 0 else -y % p, 1)
-        k1, k2 = abs(k1), abs(k2)
-        p12 = jac_add(p1, p2)
+        odd = self._odd_multiples(point)
+        table1 = _signed_table(odd, k1 < 0, p)
+        table2 = _signed_table([(x * beta % p, y) for x, y in odd], k2 < 0, p)
+        digits1, digits2 = _wnaf(abs(k1)), _wnaf(abs(k2))
+        length = max(len(digits1), len(digits2))
+        digits1 += [0] * (length - len(digits1))
+        digits2 += [0] * (length - len(digits2))
         acc = (0, 1, 0)
-        for i in range(max(k1.bit_length(), k2.bit_length()) - 1, -1, -1):
+        for d1, d2 in zip(reversed(digits1), reversed(digits2)):
             acc = jac_double(acc)
-            b1 = (k1 >> i) & 1
-            b2 = (k2 >> i) & 1
-            if b1:
-                acc = jac_add(acc, p12 if b2 else p1)
-            elif b2:
-                acc = jac_add(acc, p2)
+            if d1:
+                acc = jac_add(acc, table1[d1])
+            if d2:
+                acc = jac_add(acc, table2[d2])
         return self.from_jac(acc)
+
+    def _odd_multiples(self, point: Tuple[int, int]) -> List[Tuple[int, int]]:
+        """Affine [P, 3P, …, (2^(w−1) − 1)P] for :data:`WNAF_WIDTH` w.
+
+        Built in layers that each add 2^i·P to every odd multiple so
+        far and double 2^i·P (the last doubling goes unused), one
+        ``batch_add`` (one field inversion) per layer: four for w = 5,
+        where a chain of additions would take eight.
+        """
+        batch_add = self.batch_add
+        odd = [point]
+        (step,) = batch_add([point], [point])
+        while len(odd) < 1 << (WNAF_WIDTH - 2):
+            *more, step = batch_add(odd + [step], [step] * (len(odd) + 1))
+            odd += more
+        return odd
 
     def fixed_base(self, point: Tuple[int, int], window: int) -> "FixedBaseTable":
         """A :class:`FixedBaseTable` of ``window``-bit windows for ``point``."""

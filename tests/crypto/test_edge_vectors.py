@@ -149,6 +149,32 @@ def test_off_curve_public_key_rejected(signature: ECDSASignature) -> None:
     assert verify((1, 1), HASH, signature) is False
 
 
+def test_infinity_public_key_rejected() -> None:
+    """At infinity u₂·Q vanishes and the check would read x(u₁·G) = r,
+    which r = x(k·G) and s = z·k⁻¹ satisfy for any k: a forgery
+    without a key."""
+    k = 0xC0FFEE
+    z = int.from_bytes(HASH, "big")
+    r = ecdsa.point_mul(k, ecdsa.GENERATOR)[0] % N
+    forged = ECDSASignature(r=r, s=z * pow(k, -1, N) % N, v=0)
+    assert verify(None, HASH, forged) is False
+
+
+@pytest.mark.parametrize(
+    "dx,dy",
+    [(ecdsa.P, 0), (0, ecdsa.P), (-ecdsa.P, 0), (0, -ecdsa.P)],
+    ids=["x+P", "y+P", "x-P", "y-P"],
+)
+def test_out_of_range_public_key_coordinates_rejected(
+    keypair: ECDSAKeyPair, signature: ECDSASignature, dx: int, dy: int
+) -> None:
+    """(x ± P, y) and (x, y ± P) name the signer's point mod P, but
+    they are not its coordinates."""
+    x, y = keypair.public_key
+    assert verify((x, y), HASH, signature) is True
+    assert verify((x + dx, y + dy), HASH, signature) is False
+
+
 def test_signature_wire_format_is_strict(signature: ECDSASignature) -> None:
     wire = signature.to_bytes()
     assert len(wire) == 65

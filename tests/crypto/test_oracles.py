@@ -7,7 +7,9 @@
   primes: ciphertexts decrypt and signatures verify in both directions.
 - The shared a = 0 curve core (secp256k1 and BN254 G1) against sympy's
   ``EllipticCurve``: scalar multiplication on both sides of the GLV
-  switch point, addition and fixed-base tables (one scalar and many).
+  switch point and on chosen GLV components, addition and fixed-base
+  tables (one scalar and many); and secp256k1 public-key recovery
+  against r⁻¹(s·R − z·G) evaluated there.
 - Keccak-f[1600] against ``hashlib``'s SHA-3, which runs the same
   permutation with the FIPS-202 domain byte 0x06, both one state at a
   time and packed (every instance of a multi-instance pass).
@@ -46,6 +48,7 @@ except ImportError:  # pragma: no cover - the dev extra installs it
 
 try:
     from sympy.ntheory.elliptic_curve import EllipticCurve
+    from sympy.ntheory.residue_ntheory import sqrt_mod
 except ImportError:  # pragma: no cover - the dev extra installs it
     EllipticCurve = None
 
@@ -178,7 +181,7 @@ def test_rsa_pss_verifies_both_ways(message: bytes) -> None:
 
 _CURVES = {"secp256k1": ecdsa.SECP256K1, "bn254": BN254_G1}
 
-#: The fixed-base path of each curve: secp256k1's window-4 generator
+#: The fixed-base path of each curve: secp256k1's window-8 generator
 #: table behind ``point_mul``, and G1's window-8 generator table.
 _FIXED_BASE = {
     "secp256k1": lambda k: ecdsa.point_mul(k, ecdsa.GENERATOR),
@@ -186,11 +189,10 @@ _FIXED_BASE = {
 }
 
 
-@functools.lru_cache(maxsize=None)
 def _fixed_base_table(name: str):
     """The same tables, for :meth:`FixedBaseTable.mul_many`."""
     if name == "secp256k1":
-        return ecdsa.SECP256K1.fixed_base(ecdsa.GENERATOR, window=4)
+        return ecdsa.generator_table()
     return g1_generator_table()
 
 
@@ -212,20 +214,42 @@ def _sympy_mul(name: str, base: int, k: int):
     return _from_sympy(_sympy_generator(name) * base * k)
 
 
-def _scalar(name: str, kind: str) -> int:
+def _from_components(curve, pairs: list) -> list:
+    """k = k₁ + k₂·λ (mod n) for each chosen (k₁, k₂), which
+    ``decompose`` must hand back to the ladder."""
+    params, _ = curve.glv()
+    ks = [(k1 + k2 * params.lam) % curve.order for k1, k2 in pairs]
+    assert [params.decompose(k) for k in ks] == pairs
+    return ks
+
+
+def _scalars(name: str, kind: str) -> list:
     curve = _CURVES[name]
     params, _ = curve.glv()
     bits = params.max_component_bits()
     rng = random.Random(f"sympy-{name}-{kind}")
     if kind == "bound":
-        return (1 << (bits - 1)) | rng.getrandbits(bits - 1)
+        return [(1 << (bits - 1)) | rng.getrandbits(bits - 1)]
     if kind == "bound+1":
-        return (1 << bits) | rng.getrandbits(bits)
+        return [(1 << bits) | rng.getrandbits(bits)]
     if kind == "order-1":
-        return curve.order - 1
+        return [curve.order - 1]
     if kind == "lambda":
-        return params.lam
-    return rng.randrange(curve.order >> 1, curve.order)
+        return [params.lam]
+    if kind == "signs":
+        # Each GLV component's sign is folded into its own wNAF table.
+        a, b = rng.getrandbits(120), rng.getrandbits(120)
+        return _from_components(curve, [(a, b), (a, -b), (-a, b), (-a, -b)])
+    if kind == "ones-runs":
+        # 2^j − 1 recodes to the digit −1, a carry through every
+        # position and a final +1 (2^124 − 1 is the widest run that
+        # decomposes back on both curves).
+        r5, r64, r124 = (2**j - 1 for j in (5, 64, 124))
+        return _from_components(curve, [(r5, -r124), (-r64, r64), (-r124, -r5)])
+    if kind == "digits":
+        # 15 is the digit 15; 17 the digit −15 and a carry.
+        return _from_components(curve, [(15, -17), (-17, 15)])
+    return [rng.randrange(curve.order >> 1, curve.order)]
 
 
 #: A small multiplier of G, so that the variable-base cases run on a
@@ -234,14 +258,17 @@ _BASE = 0xC0FFEE
 
 
 @needs_sympy
-@pytest.mark.parametrize("kind", ["bound", "bound+1", "order-1", "lambda", "full"])
+@pytest.mark.parametrize(
+    "kind",
+    ["bound", "bound+1", "order-1", "lambda", "full", "signs", "ones-runs", "digits"],
+)
 @pytest.mark.parametrize("name", sorted(_CURVES))
 def test_mul_matches_sympy(name: str, kind: str) -> None:
     curve = _CURVES[name]
     point = _sympy_mul(name, _BASE, 1)
-    k = _scalar(name, kind)
     assert curve.is_on_curve(point)
-    assert curve.mul(point, k) == _sympy_mul(name, _BASE, k)
+    for k in _scalars(name, kind):
+        assert curve.mul(point, k) == _sympy_mul(name, _BASE, k)
 
 
 @needs_sympy
@@ -265,7 +292,7 @@ def test_add_matches_sympy(name: str) -> None:
 def test_fixed_base_mul_matches_sympy(name: str, kind: str) -> None:
     # Both scalars fill the top window, which a short table would miss.
     curve = _CURVES[name]
-    k = _scalar(name, kind)
+    (k,) = _scalars(name, kind)
     expected = _sympy_mul(name, 1, k)
     assert _FIXED_BASE[name](k) == expected
     batch = [k, curve.order - k, k]
@@ -285,6 +312,55 @@ def test_order_times_generator_is_infinity(name: str) -> None:
     assert _sympy_mul(name, 1, curve.order - 1) == curve.neg(curve.generator)
     # The unreduced ladder must walk order · G to infinity, too.
     assert curve.double_and_add(curve.generator, curve.order) is None
+
+
+# ----- secp256k1 public-key recovery against sympy ------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_with_recovery_id(v: int):
+    """A seeded key, and the first seeded digest its signature over
+    which carries recovery id ``v``."""
+    key = ecdsa.ECDSAKeyPair.from_seed(b"recovery-oracle")
+    i = 0
+    while True:
+        digest = _digest(1000 + i)
+        sig = key.sign(digest)
+        if sig.v == v:
+            return key, digest, sig
+        i += 1
+
+
+def _recovery_case(kind: str):
+    """(digest, signature, signer's key, whether it recovers the signer)."""
+    if kind in ("v=0", "v=1"):
+        key, digest, sig = _signed_with_recovery_id(int(kind[-1]))
+        return digest, sig, key.public_key, True
+    if kind == "high-s-twin":
+        key, digest, sig = _signed_with_recovery_id(0)
+        twin = ecdsa.ECDSASignature(r=sig.r, s=ecdsa.N - sig.s, v=sig.v ^ 1)
+        return digest, twin, key.public_key, True
+    key, digest, sig = _signed_with_recovery_id(1)
+    stranger = ecdsa.ECDSASignature(r=sig.r, s=sig.s, v=sig.v ^ 1)
+    return digest, stranger, key.public_key, False
+
+
+@needs_sympy
+@pytest.mark.parametrize("kind", ["v=0", "v=1", "high-s-twin", "wrong-v"])
+def test_recovery_matches_sympy(kind: str) -> None:
+    """Q = r⁻¹(s·R − z·G) on sympy's curve, R the point with x = r and
+    the y parity of v; the wrong-v stranger recovers a different key,
+    which the formula gives as well."""
+    digest, sig, signer, recovers_signer = _recovery_case(kind)
+    roots = sqrt_mod(sig.r**3 + ecdsa.B, ecdsa.P, all_roots=True)
+    (y,) = [root for root in roots if root & 1 == sig.v & 1]
+    r_point = EllipticCurve(0, ecdsa.B, modulus=ecdsa.P)(sig.r, y)
+    z = int.from_bytes(digest, "big")
+    z_g = _sympy_generator("secp256k1") * z
+    expected = _from_sympy((r_point * sig.s + -z_g) * pow(sig.r, -1, ecdsa.N))
+    recovered = ecdsa.recover_public_key(digest, sig)
+    assert recovered == expected
+    assert (recovered == signer) is recovers_signer
 
 
 # ----- Keccak-f[1600] against hashlib's SHA-3 -------------------------------------

@@ -471,15 +471,28 @@ def test_g1_paths_match_naive(case: int) -> None:
     assert g1_mul(points[0], k) == g1_msm_naive([points[0]], [k])
 
 
-# ----- the GLV switch point (BN254 G1 and secp256k1) ------------------------------
+# ----- the GLV switch point and the wNAF ladder (BN254 G1 and secp256k1) ----------
 #
 # Both curves' mul, and g1_msm, take the GLV split only for scalars
-# wider than the GLV component bound; these cases sit exactly on it,
-# one bit over, at n − 1 and at λ.
+# wider than the GLV component bound; the first cases sit exactly on
+# it, one bit over, at n − 1 and at λ.  The rest build k = k₁ + k₂·λ
+# (mod n) from chosen components, which ``decompose`` must hand back
+# to the ladder: all four sign combinations (each component's sign is
+# folded into its own table), runs of ones 2^j − 1 (wNAF digit −1,
+# then a carry through every position up to a final +1), and the
+# extreme digits: 15 is the digit 15, 17 the digit −15 and a carry.
+# Every case multiplies points other than the generator.
 
 _G1_GLV_BITS = GLVParams.for_order(CURVE_ORDER).max_component_bits()
 
 _CURVES = {"bn254": BN254_G1, "secp256k1": ecdsa.SECP256K1}
+
+_SIGNS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+#: 2^124 − 1 is the widest run of ones that ``decompose`` returns as
+#: either component on both curves: 2^127 − 1 lies outside BN254's
+#: rounding region, whose basis vectors are about 2^126.8 long.
+_ONES_RUNS = [2**j - 1 for j in (5, 64, 124)]
 
 
 def _scalars_of_width(rng: random.Random, bits: int) -> list:
@@ -487,7 +500,30 @@ def _scalars_of_width(rng: random.Random, bits: int) -> list:
     return [low, high, rng.randrange(low, high)]
 
 
-@pytest.mark.parametrize("kind", ["bound", "bound+1", "order-1", "lambda"])
+def _glv_components(kind: str, rng: random.Random) -> list:
+    if kind == "signs":
+        a, b = rng.getrandbits(120), rng.getrandbits(120)
+        return [(s1 * a, s2 * b) for s1, s2 in _SIGNS]
+    if kind == "ones-runs":
+        return [
+            (s1 * r1, s2 * r2)
+            for r1 in _ONES_RUNS
+            for r2 in _ONES_RUNS
+            for s1, s2 in _SIGNS
+        ]
+    return [(15, -17), (-17, 15), (1, -1), ((15 << 64) + 17, -((17 << 100) + 15))]
+
+
+def _from_components(params: GLVParams, pairs: list) -> list:
+    """k = k₁ + k₂·λ (mod n) for each chosen (k₁, k₂)."""
+    ks = [(k1 + k2 * params.lam) % params.order for k1, k2 in pairs]
+    assert [params.decompose(k) for k in ks] == pairs
+    return ks
+
+
+@pytest.mark.parametrize(
+    "kind", ["bound", "bound+1", "order-1", "lambda", "signs", "ones-runs", "digits"]
+)
 @pytest.mark.parametrize("name", sorted(_CURVES))
 def test_glv_switch_point_matches_naive(name: str, kind: str) -> None:
     curve = _CURVES[name]
@@ -499,8 +535,10 @@ def test_glv_switch_point_matches_naive(name: str, kind: str) -> None:
         ks = _scalars_of_width(rng, params.max_component_bits() + 1)
     elif kind == "order-1":
         ks = [curve.order - 1]
-    else:
+    elif kind == "lambda":
         ks = [params.lam]
+    else:
+        ks = _from_components(params, _glv_components(kind, rng))
     points = [
         curve.double_and_add(curve.generator, rng.randrange(1, 2**64))
         for _ in range(3)
@@ -515,22 +553,25 @@ def test_glv_switch_point_matches_naive(name: str, kind: str) -> None:
 
 # ----- fixed-base tables: mul_many and mul vs the reference ladders ---------------
 #
-# Four tables: secp256k1's generator at w = 4, the only one whose window
-# divides its order's bit length (256 = 64 · 4), so its top window can
-# carry into the table's extra row; BN254's G1 generator at w = 8;
-# another G1 point at w = 5; and G2's generator at w = 7.  Every batch
-# also runs through the one-scalar ``mul``, which walks the same signed
-# digits.
+# Five tables: secp256k1's generator at w = 4 and at w = 8 (the
+# production table behind ``ecdsa.point_mul``), whose windows divide
+# the order's 256 bits, so the top window can carry into the table's
+# extra row; BN254's G1 generator at w = 8; another G1 point at w = 5;
+# and G2's generator at w = 7.  Every batch also runs through the
+# one-scalar ``mul``, which walks the same signed digits.
 
-_FIXED_BASE_TABLES = ["secp256k1-w4", "g1-w8", "g1-other-w5", "g2-w7"]
+_FIXED_BASE_TABLES = ["secp256k1-w4", "secp256k1-w8", "g1-w8", "g1-other-w5", "g2-w7"]
 
 
 @functools.lru_cache(maxsize=None)
 def _fixed_base_subject(name: str):
     """The table and its reference multiplication ``k ↦ k·B``."""
-    if name == "secp256k1-w4":
+    if name.startswith("secp256k1"):
         curve = ecdsa.SECP256K1
-        table = curve.fixed_base(curve.generator, window=4)
+        if name == "secp256k1-w8":
+            table = ecdsa.generator_table()
+        else:
+            table = curve.fixed_base(curve.generator, window=4)
         return table, lambda k: curve.double_and_add(curve.generator, k % curve.order)
     if name == "g1-w8":
         return g1_generator_table(), lambda k: BN254_G1.double_and_add(G1, k % CURVE_ORDER)
