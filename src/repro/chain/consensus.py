@@ -2,8 +2,9 @@
 
 The paper's test net runs two mining PCs and two validating full nodes;
 the default engine here is round-robin PoA over the miner set (block
-producer authenticity via an ECDSA seal), with a bounded-difficulty
-simulated PoW available for tests that need probabilistic sealing.
+producer authenticity via an ECDSA seal, checked against the
+validator's known public key), with a bounded-difficulty simulated PoW
+available for tests that need probabilistic sealing.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import List, Optional, Sequence
 from repro import observability as obs
 from repro.crypto import ecdsa
 from repro.crypto.hashing import keccak256
-from repro.errors import InvalidBlockError
+from repro.errors import InvalidBlockError, SignatureError
 from repro.chain.block import BlockHeader
 
 
@@ -35,12 +36,25 @@ class ConsensusEngine(abc.ABC):
 
 
 class PoAEngine(ConsensusEngine):
-    """Round-robin proof-of-authority among a fixed validator set."""
+    """Round-robin proof-of-authority among a fixed validator set.
 
-    def __init__(self, validators: Sequence[bytes]) -> None:
+    Validators are known by public key (``ECDSAKeyPair.public_key``),
+    so a seal is checked with one verification against the expected
+    proposer's key, bound to the recovery id
+    (:func:`~repro.crypto.ecdsa.verify_recoverable`): it accepts
+    exactly the seals whose recovered signer is that validator.
+    """
+
+    def __init__(self, validators: Sequence[ecdsa.Point]) -> None:
         if not validators:
             raise ValueError("PoA requires at least one validator")
-        self.validators: List[bytes] = list(validators)
+        for key in validators:
+            if not (isinstance(key, tuple) and ecdsa.is_public_key(key)):
+                raise ValueError(f"PoA validator {key!r} is not a secp256k1 public key")
+        self.validator_keys: List[ecdsa.Point] = list(validators)
+        self.validators: List[bytes] = [
+            ecdsa.public_key_address(key) for key in validators
+        ]
 
     def expected_proposer(self, height: int) -> bytes:
         return self.validators[height % len(self.validators)]
@@ -51,8 +65,8 @@ class PoAEngine(ConsensusEngine):
         return miner_key.sign(header.hash_without_seal()).to_bytes()
 
     def validate_seal(self, header: BlockHeader) -> None:
-        expected = self.expected_proposer(header.number)
-        if header.miner != expected:
+        turn = header.number % len(self.validators)
+        if header.miner != self.validators[turn]:
             obs.count("consensus.seal_rejections")
             raise InvalidBlockError(
                 f"block {header.number} sealed by the wrong validator"
@@ -60,11 +74,12 @@ class PoAEngine(ConsensusEngine):
         try:
             signature = ecdsa.ECDSASignature.from_bytes(header.seal)
             ecdsa.require_low_s(signature)
-            signer = ecdsa.recover_address(header.hash_without_seal(), signature)
-        except Exception as exc:  # noqa: BLE001 - any failure is invalid
+        except SignatureError as exc:
             obs.count("consensus.seal_rejections")
             raise InvalidBlockError(f"unreadable PoA seal: {exc}") from exc
-        if signer != expected:
+        if not ecdsa.verify_recoverable(
+            self.validator_keys[turn], header.hash_without_seal(), signature
+        ):
             obs.count("consensus.seal_rejections")
             raise InvalidBlockError("PoA seal signed by the wrong key")
         obs.count("consensus.seals_validated")

@@ -371,7 +371,7 @@ class Testnet:
         miner_keys = [
             ecdsa.ECDSAKeyPair.from_seed(f"miner-{i}".encode()) for i in range(miners)
         ]
-        self.engine = engine or PoAEngine([k.address() for k in miner_keys])
+        self.engine = engine or PoAEngine([k.public_key for k in miner_keys])
         allocations = {self.faucet_key.address(): initial_faucet_balance}
         if extra_allocations:
             for address, balance in extra_allocations.items():

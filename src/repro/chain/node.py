@@ -127,7 +127,7 @@ class Node:
         self.genesis = genesis
         self.keypair = keypair or ecdsa.ECDSAKeyPair.from_seed(name.encode())
         self.is_miner = is_miner
-        self.engine = engine or PoAEngine([self.keypair.address()])
+        self.engine = engine or PoAEngine([self.keypair.public_key])
         self.vm = VM(schedule=schedule, chain_id=genesis.chain_id)
         self.mempool = Mempool(capacity=mempool_capacity)
         self.journal = ChainJournal()

@@ -3,8 +3,10 @@
 This is the Ethereum transaction-signature algorithm: RFC-6979
 deterministic nonces, low-s normalization and public-key recovery (so
 the chain substrate can derive sender addresses from signatures exactly
-the way Ethereum does).  The group arithmetic is the a = 0 curve core
-in :mod:`repro.crypto.weierstrass`, which BN254's G1 shares.
+the way Ethereum does), and a verification bound to the recovery id
+for signers known by key (PoA seals).  The group arithmetic is the
+a = 0 curve core in :mod:`repro.crypto.weierstrass`, which BN254's G1
+shares.
 """
 
 from __future__ import annotations
@@ -119,11 +121,6 @@ class ECDSAKeyPair:
             candidate = 1
         return cls(candidate)
 
-    def public_key_bytes(self) -> bytes:
-        """Uncompressed public key (64 bytes, no 0x04 prefix — Ethereum style)."""
-        x, y = self.public_key
-        return x.to_bytes(32, "big") + y.to_bytes(32, "big")
-
     def address(self) -> bytes:
         """Ethereum-style 20-byte address: keccak256(pubkey)[12:].
 
@@ -131,7 +128,7 @@ class ECDSAKeyPair:
         once: miners ask for theirs on every block they seal.
         """
         if self._address is None:
-            self._address = keccak256(self.public_key_bytes())[12:]
+            self._address = public_key_address(self.public_key)
         return self._address
 
     def sign(self, message_hash: bytes) -> ECDSASignature:
@@ -158,28 +155,86 @@ class ECDSAKeyPair:
             return ECDSASignature(r=r, s=s, v=v)
 
 
-def verify(public_key: Point, message_hash: bytes, sig: ECDSASignature) -> bool:
-    """Verify a signature against an explicit public key.
+def is_public_key(point: Point) -> bool:
+    """A finite curve point with coordinates in [0, P).
 
-    The key must be a finite curve point with coordinates in [0, P):
-    at infinity u₂·Q vanishes, and a forged (r, s) would pass as
-    x(u₁·G) = r.
+    At infinity u₂·Q vanishes in a verification, and a forged (r, s)
+    would pass as x(u₁·G) = r; coordinates outside [0, P) would alias
+    a valid key under another encoding.
+    """
+    if point is None:
+        return False
+    x, y = point
+    return 0 <= x < P and 0 <= y < P and is_on_curve(point)
+
+
+def public_key_address(public_key: Point) -> bytes:
+    """The 20-byte Ethereum-style address of a public key.
+
+    keccak256 of the uncompressed key (64 bytes, no 0x04 prefix), low
+    20 bytes.
+    """
+    x, y = public_key
+    return keccak256(x.to_bytes(32, "big") + y.to_bytes(32, "big"))[12:]
+
+
+def _verification_point(
+    public_key: Point, message_hash: bytes, sig: ECDSASignature
+) -> Point:
+    """R' = s⁻¹(z·G + r·Q) = u₁·G + u₂·Q, or None where a check fails.
+
+    The checks: r and s in [1, N) and :func:`is_public_key`.  One
+    generator-table and one variable-base multiplication.
     """
     if not (1 <= sig.r < N and 1 <= sig.s < N):
-        return False
-    if public_key is None:
-        return False
-    x, y = public_key
-    if not (0 <= x < P and 0 <= y < P and is_on_curve(public_key)):
-        return False
+        return None
+    if not is_public_key(public_key):
+        return None
     z = int.from_bytes(message_hash, "big")
     w = pow(sig.s, -1, N)
     u1 = (z * w) % N
     u2 = (sig.r * w) % N
-    point = point_add(point_mul(u1, GENERATOR), point_mul(u2, public_key))
-    if point is None:
+    return point_add(point_mul(u1, GENERATOR), point_mul(u2, public_key))
+
+
+def verify(public_key: Point, message_hash: bytes, sig: ECDSASignature) -> bool:
+    """Verify a signature against an explicit public key.
+
+    Accepts when R' = s⁻¹(z·G + r·Q) is finite with x(R') ≡ r (mod N);
+    the recovery id is ignored.
+    """
+    point = _verification_point(public_key, message_hash, sig)
+    return point is not None and point[0] % N == sig.r
+
+
+def verify_recoverable(
+    public_key: Point, message_hash: bytes, sig: ECDSASignature
+) -> bool:
+    """Verify a signature against a known key, bound to its recovery id.
+
+    Accepts exactly when :func:`recover_public_key` would return
+    ``public_key``, at the cost of one verification: R' must be finite
+    with x(R') = r + N·[v ≥ 2] (not merely ≡ r mod N) and
+    y(R') ≡ v (mod 2), after :func:`verify`'s checks and v ∈ {0, 1, 2, 3}.
+
+    Why the two agree.  If recovery returns Q, it decompressed R from
+    (r, v) and computed Q = r⁻¹(s·R − z·G); then s·R = z·G + r·Q, so
+    R = R', which has the x and the parity above.  Conversely, an R'
+    with that x and that parity is the point recovery decompresses
+    (x < P because it is a coordinate; y ≠ 0 because the group's order
+    is odd, so the parity picks R' and not −R').  Recovery then returns
+    r⁻¹(s·R' − z·G) = Q, and its re-verify reads x(R') mod N = r.
+    Without the recovery-id binding the seal (r, s, v ^ 1) would also
+    pass for Q, though it recovers another key.
+    """
+    if sig.v not in (0, 1, 2, 3):
         return False
-    return point[0] % N == sig.r
+    point = _verification_point(public_key, message_hash, sig)
+    return (
+        point is not None
+        and point[0] == sig.r + (N if sig.v >= 2 else 0)
+        and point[1] & 1 == sig.v & 1
+    )
 
 
 def require_low_s(sig: ECDSASignature) -> None:
@@ -228,5 +283,4 @@ def recover_public_key(message_hash: bytes, sig: ECDSASignature) -> Tuple[int, i
 
 def recover_address(message_hash: bytes, sig: ECDSASignature) -> bytes:
     """Recover the 20-byte Ethereum-style sender address."""
-    x, y = recover_public_key(message_hash, sig)
-    return keccak256(x.to_bytes(32, "big") + y.to_bytes(32, "big"))[12:]
+    return public_key_address(recover_public_key(message_hash, sig))

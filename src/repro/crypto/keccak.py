@@ -23,6 +23,7 @@ k = 1).
 
 from __future__ import annotations
 
+import struct
 from typing import Sequence
 
 _ROUND_CONSTANTS = (
@@ -285,57 +286,52 @@ def keccak_f1600_packed(state: list[int], instances: int) -> list[int]:
 
 
 class KeccakSponge:
-    """Incremental Keccak sponge with the original 0x01 domain padding."""
+    """Incremental Keccak sponge with the original 0x01 domain padding.
+
+    Each full block is read as its rate's 64-bit lanes with one
+    ``struct`` unpack and XORed into the state; ``digest`` pads the
+    buffered tail once and leaves the sponge as it was, so it may be
+    called again or updated further.
+    """
 
     def __init__(self, rate_bytes: int, digest_bytes: int) -> None:
         if rate_bytes <= 0 or rate_bytes >= 200 or rate_bytes % 8 != 0:
             raise ValueError("rate must be a positive multiple of 8 below 200")
         self._rate = rate_bytes
         self._digest_size = digest_bytes
+        self._lanes = struct.Struct(f"<{rate_bytes // 8}Q")
         self._state = [0] * 25
-        self._buffer = bytearray()
-        self._finalized = False
+        self._buffer = b""
 
     def update(self, data: bytes) -> "KeccakSponge":
-        if self._finalized:
-            raise ValueError("cannot update a finalized sponge")
-        self._buffer.extend(data)
-        while len(self._buffer) >= self._rate:
-            block = bytes(self._buffer[: self._rate])
-            del self._buffer[: self._rate]
-            self._absorb(block)
+        buffer = self._buffer + data
+        full = len(buffer) - len(buffer) % self._rate
+        for offset in range(0, full, self._rate):
+            self._state = self._absorb(self._state, buffer, offset)
+        self._buffer = buffer[full:]
         return self
 
-    def _absorb(self, block: bytes) -> None:
-        for i in range(0, len(block), 8):
-            lane_index = i // 8
-            self._state[lane_index] ^= int.from_bytes(block[i : i + 8], "little")
-        self._state = keccak_f1600(self._state)
+    def _absorb(self, state: list[int], data: bytes, offset: int) -> list[int]:
+        """The permuted state after XORing in the block at ``data[offset:]``."""
+        words = self._lanes.unpack_from(data, offset)
+        absorbed = [lane ^ word for lane, word in zip(state, words)]
+        return keccak_f1600(absorbed + state[len(words):])
 
     def digest(self) -> bytes:
-        # Pad: Keccak pad10*1 with domain bit 0x01.
-        padded = bytearray(self._buffer)
-        pad_len = self._rate - (len(padded) % self._rate)
-        padding = bytearray(pad_len)
-        padding[0] = 0x01
-        padding[-1] |= 0x80
-        padded.extend(padding)
-        state = list(self._state)
-        for offset in range(0, len(padded), self._rate):
-            block = padded[offset : offset + self._rate]
-            for i in range(0, self._rate, 8):
-                state[i // 8] ^= int.from_bytes(block[i : i + 8], "little")
-            state = keccak_f1600(state)
+        # Pad: Keccak pad10*1 with domain bit 0x01 (one byte 0x81 when
+        # a single byte of the block is left).
+        gap = self._rate - len(self._buffer)
+        tail = self._buffer + (
+            b"\x81" if gap == 1 else b"\x01" + bytes(gap - 2) + b"\x80"
+        )
+        state = self._absorb(self._state, tail, 0)
         # Squeeze
-        output = bytearray()
-        while len(output) < self._digest_size:
-            for lane in state[: self._rate // 8]:
-                output.extend(lane.to_bytes(8, "little"))
-                if len(output) >= self._digest_size:
-                    break
-            if len(output) < self._digest_size:
-                state = keccak_f1600(state)
-        return bytes(output[: self._digest_size])
+        output = b""
+        while True:
+            output += self._lanes.pack(*state[: self._rate // 8])
+            if len(output) >= self._digest_size:
+                return output[: self._digest_size]
+            state = keccak_f1600(state)
 
 
 def keccak_256(data: bytes) -> bytes:

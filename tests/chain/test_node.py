@@ -27,13 +27,13 @@ def genesis() -> GenesisConfig:
 
 @pytest.fixture
 def miner(genesis) -> Node:
-    engine = PoAEngine([MINER_KEY.address()])
+    engine = PoAEngine([MINER_KEY.public_key])
     return Node("miner", genesis, engine=engine, keypair=MINER_KEY, is_miner=True)
 
 
 @pytest.fixture
 def follower(genesis) -> Node:
-    engine = PoAEngine([MINER_KEY.address()])
+    engine = PoAEngine([MINER_KEY.public_key])
     return Node("follower", genesis, engine=engine)
 
 
@@ -149,7 +149,7 @@ def test_block_by_number(miner) -> None:
 
 
 def test_longest_chain_wins(genesis) -> None:
-    engine = PoAEngine([MINER_KEY.address()])
+    engine = PoAEngine([MINER_KEY.public_key])
     node_a = Node("a", genesis, engine=engine, keypair=MINER_KEY, is_miner=True)
     node_b = Node("b", genesis, engine=engine, keypair=MINER_KEY, is_miner=True)
     # Two competing height-1 blocks (different timestamps → different hashes).

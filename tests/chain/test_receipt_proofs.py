@@ -37,7 +37,7 @@ PAYEE = b"\x42" * 20
 
 def _node(name: str = "full") -> Node:
     genesis = GenesisConfig(allocations={USER.address(): 10**12})
-    engine = PoAEngine([MINER.address()])
+    engine = PoAEngine([MINER.public_key])
     return Node(name, genesis, engine=engine, keypair=MINER, is_miner=True)
 
 

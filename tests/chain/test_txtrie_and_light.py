@@ -134,7 +134,7 @@ def test_order_sensitivity() -> None:
 @pytest.fixture
 def full_node() -> Node:
     genesis = GenesisConfig(allocations={USER.address(): 10**12})
-    engine = PoAEngine([MINER.address()])
+    engine = PoAEngine([MINER.public_key])
     return Node("full", genesis, engine=engine, keypair=MINER, is_miner=True)
 
 
